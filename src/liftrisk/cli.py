@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import hypertune, metrics, pipeline, saliency, synthdata, trainer
@@ -202,16 +203,18 @@ def load_grid(path, base: trainer.TrainConfig) -> hypertune.GridSpec:
 def cmd_tune(args) -> int:
     config = _load_cli_config(args.config)
     grid = load_grid(args.grid, pipeline.train_config_of(config))
+
+    def cell_config(cell: hypertune.TuneCell) -> PipelineConfig:
+        return replace(config, l2_lambda=cell.l2_lambda, learning_rate=cell.learning_rate,
+                       dropout_rate=cell.dropout_rate, seed=cell.seed)
+
+    for cell in grid.cells():  # every grid value is checked before the data loads
+        cell_config(cell)
     trials, manifest = synthdata.load_dataset(args.data)
     data = pipeline.prepare(trials, manifest, config)
 
-    def builder(cfg: trainer.TrainConfig):
-        model_config = PipelineConfig(**{**config.__dict__,
-                                         "l2_lambda": cfg.l2_lambda,
-                                         "learning_rate": cfg.learning_rate,
-                                         "dropout_rate": cfg.dropout_rate,
-                                         "seed": cfg.seed})
-        return pipeline.build_model(model_config, data.images.shape[1:])
+    def builder(cell: hypertune.TuneCell):
+        return pipeline.build_model(cell_config(cell), data.images.shape[1:])
 
     results = hypertune.grid_search(
         grid,

@@ -16,14 +16,7 @@ import numpy as np
 from .errors import ConfigError
 from .nncore import PRESET_NAMES
 from .signals import SCALER_MODES
-
-
-def _parse_bool(v: str) -> bool:
-    if v.lower() in ("true", "1", "yes"):
-        return True
-    if v.lower() in ("false", "0", "no"):
-        return False
-    raise ValueError(f"not a boolean: {v!r}")
+from .trainer import TrainConfig
 
 
 def _parse_int_tuple(v: str) -> tuple[int, ...]:
@@ -63,6 +56,14 @@ class PipelineConfig:
             raise ConfigError(f"conv_filters needs exactly 3 values, got {self.conv_filters}")
         if not 0.0 < self.train_fraction < 1.0:
             raise ConfigError("train_fraction must be in (0, 1)")
+        if self.l2_lambda < 0:
+            raise ConfigError("l2_lambda must be >= 0")
+        if not 0.0 <= self.dropout_rate < 1.0:
+            raise ConfigError("dropout_rate must be in [0, 1)")
+        try:
+            train_config_of(self)  # TrainConfig checks the training-loop bounds
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
     @property
     def np_dtype(self):
@@ -81,31 +82,20 @@ class PipelineConfig:
         return out
 
 
-_FIELD_PARSERS = {
-    "filter_order": int,
-    "filter_low_hz": float,
-    "filter_high_hz": float,
-    "target_frames": int,
-    "scaler_mode": str,
-    "image_width": int,
-    "model_preset": str,
-    "conv_filters": _parse_int_tuple,
-    "dense_units": int,
-    "l2_lambda": float,
-    "learning_rate": float,
-    "dropout_rate": float,
-    "batch_size": int,
-    "patience": int,
-    "min_delta": float,
-    "max_epochs": int,
-    "train_fraction": float,
-    "seed": int,
-    "dtype": str,
-}
+def train_config_of(config: PipelineConfig) -> TrainConfig:
+    return TrainConfig(learning_rate=config.learning_rate,
+                       batch_size=config.batch_size,
+                       patience=config.patience,
+                       min_delta=config.min_delta,
+                       max_epochs=config.max_epochs,
+                       seed=config.seed)
 
 
 def parse_config_lines(lines, source: str = "<config>") -> PipelineConfig:
-    values = parse_kv_lines(lines, _FIELD_PARSERS, source)
+    # each key parses as the type of its default; the one tuple is of ints
+    parsers = {f.name: _parse_int_tuple if isinstance(f.default, tuple) else type(f.default)
+               for f in fields(PipelineConfig)}
+    values = parse_kv_lines(lines, parsers, source)
     try:
         return PipelineConfig(**values)
     except (ValueError, TypeError) as exc:

@@ -36,16 +36,17 @@ class GridSpec:
         if self.repeats < 1:
             raise ValueError("repeats must be >= 1")
 
-    def cells(self) -> list[tuple[int, trainer.TrainConfig]]:
-        """(cell_seed, config) in grid order: lambdas x alphas x dropouts x repeats."""
-        out = []
+    def cells(self) -> list[TuneCell]:
+        """Unscored cells in grid order: lambdas x alphas x dropouts x repeats."""
         combos = itertools.product(self.lambdas, self.alphas, self.dropouts,
                                    range(self.repeats))
-        for index, (lam, alpha, drop, rep) in enumerate(combos):
-            seed = self.base.seed + CELL_SEED_STRIDE * index + rep
-            out.append((seed, replace(self.base, l2_lambda=lam, learning_rate=alpha,
-                                      dropout_rate=drop, seed=seed)))
-        return out
+        return [TuneCell(l2_lambda=lam, learning_rate=alpha, dropout_rate=drop, repeat=rep,
+                         seed=self.base.seed + CELL_SEED_STRIDE * index + rep)
+                for index, (lam, alpha, drop, rep) in enumerate(combos)]
+
+    def train_config(self, cell: TuneCell) -> trainer.TrainConfig:
+        """The base config with the cell's learning rate and seed."""
+        return replace(self.base, learning_rate=cell.learning_rate, seed=cell.seed)
 
 
 @dataclass
@@ -66,17 +67,15 @@ class TuneCell:
 def grid_search(grid: GridSpec,
                 train_images: np.ndarray, train_labels: np.ndarray,
                 test_images: np.ndarray, test_labels: np.ndarray,
-                model_builder: Callable[[trainer.TrainConfig], Model],
+                model_builder: Callable[[TuneCell], Model],
                 classes: int = 3) -> list[TuneCell]:
-    """One model per cell on the shared split; results in grid order."""
+    """One model per cell on the shared split; results in grid order.  The
+    builder gives each cell's model its L2 weight, dropout rate and seed."""
     results: list[TuneCell] = []
-    for rep_index, (seed, cfg) in enumerate(grid.cells()):
-        cell = TuneCell(l2_lambda=cfg.l2_lambda, learning_rate=cfg.learning_rate,
-                        dropout_rate=cfg.dropout_rate,
-                        repeat=rep_index % grid.repeats, seed=seed)
-        model = model_builder(cfg)
+    for cell in grid.cells():
+        model = model_builder(cell)
         try:
-            history = trainer.train(model, train_images, train_labels, cfg)
+            history = trainer.train(model, train_images, train_labels, grid.train_config(cell))
         except TrainingDivergedError:
             cell.failed = True
             results.append(cell)

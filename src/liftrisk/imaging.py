@@ -80,15 +80,20 @@ def flatten_channel_matrix(m: ChannelMatrix) -> np.ndarray:
     return m.values.transpose(0, 2, 1).reshape(N_CHANNELS, m.frames)
 
 
+def image_shape(frames: int, width: int) -> tuple[int, int, int]:
+    """(ceil(12*frames/width), width, 3): the shape wrap_image produces."""
+    return -(-N_SENSORS * frames // width), width, N_AXES
+
+
 def wrap_image(m: ChannelMatrix, width: int = DEFAULT_WIDTH) -> EncodedImage:
     """Line-wrap the time-major flattening of each axis plane into rows of
-    ``width``; rows count is ceil(12*frames/width) and trailing cells are 0.
+    ``width``; trailing cells are 0.
     """
     if width < N_SENSORS:
         raise ValueError(f"width must be >= {N_SENSORS}")
     frames = m.frames
     n_cells = N_SENSORS * frames
-    height = -(-n_cells // width)
+    height, _, _ = image_shape(frames, width)
     # flat[k, axis] with k = frame*12 + sensor
     flat = m.values.transpose(1, 0, 2).reshape(n_cells, N_AXES)
     pixels = np.zeros((height * width, N_AXES), dtype=np.float64)

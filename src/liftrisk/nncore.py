@@ -11,9 +11,12 @@ happen outside this module (see trainer).
 from __future__ import annotations
 
 import io
+import math
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
+
+from .errors import CheckpointMismatchError
 
 BN_MOMENTUM = 0.9
 BN_EPSILON = 1e-5
@@ -33,13 +36,14 @@ def _im2col(x: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(cols).reshape(n * h * w, 9 * c)
 
 
-def conv2d_batch(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Same-padding stride-1 cross-correlation plus bias (no activation)."""
+def conv2d_batch(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Same-padding stride-1 cross-correlation plus bias (no activation),
+    and the patch matrix it multiplied, which the weight gradient reuses."""
     n, h, wd, _ = x.shape
     cout = w.shape[3]
     cols = _im2col(x)
     out = cols @ w.reshape(-1, cout) + b
-    return out.reshape(n, h, wd, cout)
+    return out.reshape(n, h, wd, cout), cols
 
 
 def avgpool_batch(x: np.ndarray) -> np.ndarray:
@@ -60,69 +64,6 @@ def maxpool_batch(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     arg = v.argmax(axis=3)
     pooled = np.take_along_axis(v, arg[:, :, :, None, :], axis=3)[:, :, :, 0, :]
     return pooled, arg
-
-
-# ---------------------------------------------------------------------------
-# Single-sample operation surface (used directly by tests and saliency)
-
-
-def conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """One image [H,W,Cin] -> [H,W,Cout]; activation belongs to the layer."""
-    if w.shape[:2] != (3, 3):
-        raise ValueError("kernel must be 3x3")
-    return conv2d_batch(np.asarray(x)[None], np.asarray(w), np.asarray(b))[0]
-
-
-def pool2d_forward(x: np.ndarray, mode: str) -> np.ndarray:
-    x = np.asarray(x)
-    if x.shape[0] < 2 or x.shape[1] < 2:
-        raise ValueError("pooling needs H >= 2 and W >= 2")
-    if mode == "avg":
-        return avgpool_batch(x[None])[0]
-    if mode == "max":
-        return maxpool_batch(x[None])[0][0]
-    raise ValueError(f"unknown pooling mode {mode!r}")
-
-
-def dropout(x: np.ndarray, rate: float, mode: str, rng: np.random.Generator | None = None) -> np.ndarray:
-    """Inverted dropout: survivors scale by 1/(1-rate); inference is identity."""
-    if not 0.0 <= rate < 1.0:
-        raise ValueError("rate must be in [0, 1)")
-    x = np.asarray(x)
-    if mode == "infer" or rate == 0.0:
-        return x.copy()
-    if mode != "train":
-        raise ValueError(f"unknown mode {mode!r}")
-    if rng is None:
-        raise ValueError("train-mode dropout needs an rng")
-    mask = rng.random(x.shape) >= rate
-    return x * (mask.astype(x.dtype) / (1.0 - rate))
-
-
-def dense_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.asarray(x) @ np.asarray(w) + np.asarray(b)
-
-
-def batchnorm_forward(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
-                      running_mean: np.ndarray, running_var: np.ndarray,
-                      mode: str, momentum: float = BN_MOMENTUM,
-                      eps: float = BN_EPSILON) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Returns (y, running_mean', running_var'); train mode uses batch stats
-    (biased variance) and updates the running estimates."""
-    x = np.asarray(x)
-    if mode == "train":
-        if x.shape[0] < 2:
-            raise ValueError("train-mode batch normalization needs batch size >= 2")
-        mean = x.mean(axis=0)
-        var = x.var(axis=0)
-        y = gamma * (x - mean) / np.sqrt(var + eps) + beta
-        new_mean = momentum * running_mean + (1.0 - momentum) * mean
-        new_var = momentum * running_var + (1.0 - momentum) * var
-        return y, new_mean, new_var
-    if mode == "infer":
-        y = gamma * (x - running_mean) / np.sqrt(running_var + eps) + beta
-        return y, running_mean, running_var
-    raise ValueError(f"unknown mode {mode!r}")
 
 
 def softmax_output(x: np.ndarray) -> np.ndarray:
@@ -183,13 +124,8 @@ class Conv2D(Layer):
     def params(self):
         return [self.w, self.b]
 
-    def set_params(self, arrays):
-        self.w, self.b = arrays
-
     def forward(self, x, train, rng):
-        n, h, wd, _ = x.shape
-        cols = _im2col(x)
-        z = (cols @ self.w.reshape(-1, self.filters) + self.b).reshape(n, h, wd, self.filters)
+        z, cols = conv2d_batch(x, self.w, self.b)
         mask = z > 0
         return z * mask, (cols, mask, x.shape)
 
@@ -317,9 +253,6 @@ class Dense(Layer):
     def params(self):
         return [self.w, self.b]
 
-    def set_params(self, arrays):
-        self.w, self.b = arrays
-
     def forward(self, x, train, rng):
         z = x @ self.w + self.b
         if self.activation == "relu":
@@ -358,14 +291,8 @@ class BatchNorm(Layer):
     def params(self):
         return [self.gamma, self.beta]
 
-    def set_params(self, arrays):
-        self.gamma, self.beta = arrays
-
     def state(self):
         return [self.running_mean, self.running_var]
-
-    def set_state(self, arrays):
-        self.running_mean, self.running_var = arrays
 
     def forward(self, x, train, rng):
         if train:
@@ -412,6 +339,8 @@ class SoftmaxOutput(Layer):
     """
 
     def __init__(self, classes: int, l2_lambda: float = 0.0):
+        if l2_lambda < 0:
+            raise ValueError("l2_lambda must be >= 0")
         self.classes = classes
         self.l2_lambda = l2_lambda
         self.w = None
@@ -425,9 +354,6 @@ class SoftmaxOutput(Layer):
 
     def params(self):
         return [self.w, self.b]
-
-    def set_params(self, arrays):
-        self.w, self.b = arrays
 
     def forward(self, x, train, rng):
         logits = x @ self.w + self.b
@@ -537,11 +463,6 @@ class Model:
         _, dx = self._backprop(dlogits, caches)
         return dx
 
-    def predict(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(argmax class, probability rows); ties go to the lowest index."""
-        probs = self.forward(x, train=False)
-        return probs.argmax(axis=1), probs
-
     def snapshot(self) -> list[np.ndarray]:
         return [a.copy() for layer in self.layers for a in (*layer.params(), *layer.state())]
 
@@ -644,11 +565,7 @@ def save_checkpoint(path, model: Model, config_lines: list[str],
     buf.write(("input_shape " + " ".join(str(d) for d in model.input_shape) + "\n").encode())
     buf.write(f"dtype {np.dtype(model.dtype).name}\n".encode())
 
-    tensors: list[tuple[str, np.ndarray]] = []
-    for i, layer in enumerate(model.layers):
-        names = _tensor_names(layer)
-        for name, arr in zip(names, (*layer.params(), *layer.state())):
-            tensors.append((f"layer{i:02d}.{name}", arr))
+    tensors = _layer_tensors(model)
     for name in sorted(extra_tensors):
         tensors.append((f"extra.{name}", extra_tensors[name]))
 
@@ -670,20 +587,50 @@ def _tensor_names(layer: Layer) -> list[str]:
     return []
 
 
+def _layer_tensors(model: Model) -> list[tuple[str, np.ndarray]]:
+    """(name, array) of every parameter and state array, in checkpoint order."""
+    return [(f"layer{i:02d}.{name}", arr)
+            for i, layer in enumerate(model.layers)
+            for name, arr in zip(_tensor_names(layer), (*layer.params(), *layer.state()))]
+
+
 def load_checkpoint(path) -> tuple[Model, list[str], dict[str, np.ndarray]]:
+    """Rebuild the model from the layer spec and fill its tensors in order.
+
+    A file cut short anywhere after the magic line, or a tensor whose name
+    or shape disagrees with the layer spec, raises CheckpointMismatchError.
+    """
     with open(path, "rb") as fh:
         blob = fh.read()
-    pos = 0
+    if not blob.startswith(CHECKPOINT_MAGIC + b"\n"):
+        raise ValueError(f"{path}: not a checkpoint (bad magic)")
+    pos = len(CHECKPOINT_MAGIC) + 1
+
+    def truncated() -> CheckpointMismatchError:
+        return CheckpointMismatchError(f"{path}: checkpoint is truncated at byte {len(blob)}")
 
     def read_line() -> str:
         nonlocal pos
-        end = blob.index(b"\n", pos)
+        end = blob.find(b"\n", pos)
+        if end < 0:
+            raise truncated()
         line = blob[pos:end].decode()
         pos = end + 1
         return line
 
-    if read_line() != CHECKPOINT_MAGIC.decode():
-        raise ValueError(f"{path}: not a checkpoint (bad magic)")
+    def read_header() -> tuple[str, tuple[int, ...]]:
+        header = read_line().split()
+        return header[1], tuple(int(v) for v in header[3: 3 + int(header[2])])
+
+    def read_payload(shape: tuple[int, ...]) -> np.ndarray:
+        nonlocal pos
+        count = math.prod(shape)
+        if pos + 8 * count > len(blob):
+            raise truncated()
+        arr = np.frombuffer(blob, dtype="<f8", count=count, offset=pos).reshape(shape)
+        pos += 8 * count
+        return arr
+
     version = int(read_line().split()[1])
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {version}")
@@ -696,35 +643,20 @@ def load_checkpoint(path) -> tuple[Model, list[str], dict[str, np.ndarray]]:
 
     model = model_from_spec_lines(spec)
     model.build(input_shape, seed=0, dtype=dtype)
+    targets = _layer_tensors(model)
 
     n_tensors = int(read_line().split()[1])
-    tensors: dict[str, np.ndarray] = {}
-    for _ in range(n_tensors):
-        header = read_line().split()
-        name, ndim = header[1], int(header[2])
-        shape = tuple(int(v) for v in header[3: 3 + ndim])
-        count = 1
-        for d in shape:
-            count *= d
-        arr = np.frombuffer(blob, dtype="<f8", count=count, offset=pos).reshape(shape)
-        pos += count * 8
-        tensors[name] = arr
-
+    for want, dst in targets:
+        name, shape = read_header()
+        if (name, shape) != (want, dst.shape):
+            raise CheckpointMismatchError(
+                f"{path}: tensor {name} of shape {shape} does not match the layer "
+                f"spec's {want} of shape {dst.shape}")
+        dst[...] = read_payload(shape)
     extra: dict[str, np.ndarray] = {}
-    for name, arr in tensors.items():
-        if name.startswith("extra."):
-            extra[name[len("extra."):]] = arr.copy()
-            continue
-        idx = int(name[5:7])
-        field = name.split(".", 1)[1]
-        layer = model.layers[idx]
-        cast = arr.astype(model.dtype)
-        names = _tensor_names(layer)
-        n_p = len(layer.params())
-        arrays = [*layer.params(), *layer.state()]
-        arrays[names.index(field)] = cast
-        if n_p:
-            layer.set_params(arrays[:n_p])
-        if len(arrays) > n_p:
-            layer.set_state(arrays[n_p:])
+    for _ in range(n_tensors - len(targets)):
+        name, shape = read_header()
+        if not name.startswith("extra."):
+            raise CheckpointMismatchError(f"{path}: unexpected tensor {name} after the layer tensors")
+        extra[name[len("extra."):]] = read_payload(shape).copy()
     return model, config_lines, extra

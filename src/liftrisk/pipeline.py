@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import imaging, metrics, saliency, signals, synthdata, trainer
-from .config import PipelineConfig, parse_config_lines
+from .config import PipelineConfig, parse_config_lines, train_config_of
 from .errors import CheckpointMismatchError, DataError
 from .nncore import Model, build_preset, load_checkpoint, save_checkpoint
 from .synthdata import Manifest, RISK_CLASSES
@@ -24,7 +24,6 @@ class PreparedData:
     train_idx: np.ndarray
     test_idx: np.ndarray
     scaler: signals.ChannelScaler
-    bandpass: signals.BandpassFilter
 
 
 def assign_split(manifest: Manifest, config: PipelineConfig) -> Manifest:
@@ -61,8 +60,7 @@ def prepare(trials, manifest: Manifest, config: PipelineConfig,
     labels = np.array([synthdata.zone_to_risk(e.zone).index for e in manifest.entries],
                       dtype=np.int64)
     return PreparedData(images=images, labels=labels, encoded=encoded, manifest=manifest,
-                        train_idx=train_idx, test_idx=test_idx, scaler=scaler,
-                        bandpass=bandpass)
+                        train_idx=train_idx, test_idx=test_idx, scaler=scaler)
 
 
 def build_model(config: PipelineConfig, input_shape: tuple) -> Model:
@@ -72,17 +70,6 @@ def build_model(config: PipelineConfig, input_shape: tuple) -> Model:
                          dropout_rate=config.dropout_rate,
                          l2_lambda=config.l2_lambda)
     return model.build(input_shape, seed=config.seed, dtype=config.np_dtype)
-
-
-def train_config_of(config: PipelineConfig) -> trainer.TrainConfig:
-    return trainer.TrainConfig(l2_lambda=config.l2_lambda,
-                               learning_rate=config.learning_rate,
-                               dropout_rate=config.dropout_rate,
-                               batch_size=config.batch_size,
-                               patience=config.patience,
-                               min_delta=config.min_delta,
-                               max_epochs=config.max_epochs,
-                               seed=config.seed)
 
 
 @dataclass
@@ -117,12 +104,12 @@ def load_trained(path) -> tuple[Model, PipelineConfig, signals.ChannelScaler]:
 
 
 def check_geometry(model: Model, config: PipelineConfig) -> None:
-    """The encoded image width must match what the checkpointed model expects."""
-    model_width = model.input_shape[1]
-    if model_width != config.image_width:
+    """The encoded image shape must match what the checkpointed model expects."""
+    shape = imaging.image_shape(config.target_frames, config.image_width)
+    if model.input_shape != shape:
         raise CheckpointMismatchError(
-            f"checkpoint expects image width {model_width}, "
-            f"configuration produces width {config.image_width}")
+            f"checkpoint expects image shape {model.input_shape}, "
+            f"configuration produces shape {shape}")
 
 
 def evaluate_checkpoint(model: Model, config: PipelineConfig,

@@ -22,9 +22,10 @@ EVAL_BATCH = 128
 
 @dataclass
 class TrainConfig:
-    l2_lambda: float = 1e-5
+    """Optimizer and loop settings; the L2 weight and dropout rate belong to
+    the model's layers."""
+
     learning_rate: float = 1e-3
-    dropout_rate: float = 0.25
     batch_size: int = 32
     patience: int = 10
     min_delta: float = 0.0
@@ -35,16 +36,14 @@ class TrainConfig:
     seed: int = 42
 
     def __post_init__(self):
-        if self.l2_lambda < 0:
-            raise ValueError("l2_lambda must be >= 0")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be > 0")
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ValueError("dropout_rate must be in [0, 1)")
         if self.patience < 1:
             raise ValueError("patience must be >= 1")
-        if self.batch_size < 1 or self.max_epochs < 1:
-            raise ValueError("batch_size and max_epochs must be >= 1")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
+        if self.max_epochs < 1:
+            raise ValueError("max_epochs must be >= 1")
 
 
 @dataclass
@@ -127,12 +126,16 @@ def _canonical_order(images: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return np.array(sorted(range(len(keys)), key=keys.__getitem__), dtype=np.int64)
 
 
+def _probabilities(model: Model, images: np.ndarray) -> np.ndarray:
+    """Inference-mode probability rows, EVAL_BATCH images per forward pass."""
+    return np.concatenate([model.forward(images[i: i + EVAL_BATCH], train=False)
+                           for i in range(0, images.shape[0], EVAL_BATCH)])
+
+
 def evaluate(model: Model, images: np.ndarray, onehot: np.ndarray,
              l2_lambda: float) -> tuple[float, float]:
     """(loss, accuracy) in inference mode, batched."""
-    n = images.shape[0]
-    probs = np.concatenate([model.forward(images[i: i + EVAL_BATCH], train=False)
-                            for i in range(0, n, EVAL_BATCH)])
+    probs = _probabilities(model, images)
     acc = float(np.mean(probs.argmax(axis=1) == onehot.argmax(axis=1)))
     return loss(probs, onehot, model, l2_lambda), acc
 
@@ -205,10 +208,10 @@ def train(model: Model, images: np.ndarray, labels: np.ndarray,
 def predict(model: Model, images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(class index, probability vector) per image; ties break to the lowest
     class index."""
+    # converting here, not in _probabilities, frees a caller's temporary
+    # float64 array before the forward passes
     images = np.asarray(images, dtype=model.dtype)
-    n = images.shape[0]
-    probs = np.concatenate([model.forward(images[i: i + EVAL_BATCH], train=False)
-                            for i in range(0, n, EVAL_BATCH)])
+    probs = _probabilities(model, images)
     return probs.argmax(axis=1), probs
 
 

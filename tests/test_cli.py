@@ -82,6 +82,18 @@ class TestTrain:
         assert rc == cli.EXIT_CONFIG
         assert "foo" in capsys.readouterr().err
 
+    def test_bad_training_bound_exit_2(self, tiny_dataset_dir, tmp_path, capsys):
+        from tests.conftest import TINY_CONFIG
+
+        bad = tmp_path / "bad.txt"
+        bad.write_text("\n".join(TINY_CONFIG.to_lines()).replace("batch_size = 8",
+                                                                  "batch_size = 0") + "\n")
+        rc = run(["train", "--data", str(tiny_dataset_dir), "--config", str(bad),
+                  "--out", str(tmp_path / "m.ckpt")])
+        assert rc == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "batch_size" in err and "Traceback" not in err
+
     def test_unreadable_data_exit_3(self, tiny_config_file, tmp_path):
         rc = run(["train", "--data", str(tmp_path / "nope"), "--config",
                   str(tiny_config_file), "--out", str(tmp_path / "m.ckpt")])
@@ -151,14 +163,23 @@ class TestEval:
     def test_width_mismatch_exit_5(self, trained, tiny_dataset_dir, tmp_path, capsys):
         from tests.conftest import TINY_CONFIG
         from dataclasses import replace
-        override = tmp_path / "wide.txt"
-        wide = replace(TINY_CONFIG, image_width=20)
-        override.write_text("\n".join(wide.to_lines()) + "\n")
-        rc = run(["eval", "--model", str(trained), "--data", str(tiny_dataset_dir),
-                  "--config", str(override)])
+        # the checkpoint holds (45, 16, 3): 12 * 60 frames wrapped at width 16
+        for override, shape in [({"image_width": 20}, (36, 20, 3)),
+                                ({"target_frames": 80}, (60, 16, 3))]:
+            path = tmp_path / "override.txt"
+            path.write_text("\n".join(replace(TINY_CONFIG, **override).to_lines()) + "\n")
+            rc = run(["eval", "--model", str(trained), "--data", str(tiny_dataset_dir),
+                      "--config", str(path)])
+            assert rc == cli.EXIT_MISMATCH
+            err = capsys.readouterr().err
+            assert str((45, 16, 3)) in err and str(shape) in err
+
+    def test_truncated_checkpoint_exit_5(self, trained, tiny_dataset_dir, tmp_path, capsys):
+        cut = tmp_path / "cut.ckpt"
+        cut.write_bytes(trained.read_bytes()[:2000])
+        rc = run(["eval", "--model", str(cut), "--data", str(tiny_dataset_dir)])
         assert rc == cli.EXIT_MISMATCH
-        err = capsys.readouterr().err
-        assert "16" in err and "20" in err
+        assert "cut.ckpt" in capsys.readouterr().err
 
     def test_missing_checkpoint_is_error(self, tiny_dataset_dir, tmp_path):
         with pytest.raises(FileNotFoundError):
@@ -209,6 +230,39 @@ class TestTune:
         assert len(lines) == 2  # header + one data row
         assert (tmp_path / "tune_cell000_history.csv").exists()
 
+    def test_cell_values_reach_the_model(self, tiny_dataset_dir, tiny_config_file, tmp_path,
+                                         monkeypatch):
+        from liftrisk import pipeline
+
+        specs = []
+        build_model = pipeline.build_model
+
+        def recording_build_model(config, input_shape):
+            model = build_model(config, input_shape)
+            specs.append(model.spec_lines())
+            return model
+
+        monkeypatch.setattr(pipeline, "build_model", recording_build_model)
+        grid = tmp_path / "grid.txt"
+        grid.write_text("lambdas = 1e-3,1e-7\nalphas = 1e-3\ndropouts = 0.4\n")
+        rc = run(["tune", "--data", str(tiny_dataset_dir), "--grid", str(grid),
+                  "--config", str(tiny_config_file), "--out", str(tmp_path / "t.csv")])
+        assert rc == 0
+        assert len(specs) == 2
+        for spec, l2 in zip(specs, ["0.001", "1e-07"]):
+            assert spec[-1] == f"softmax classes=3 l2_lambda={l2}"
+            dropouts = [line for line in spec if line.startswith("dropout")]
+            assert dropouts and all(line == "dropout rate=0.4" for line in dropouts)
+
+    def test_bad_grid_value_exit_2(self, tmp_path, tiny_config_file, capsys):
+        # checked before the (here missing) dataset is read
+        grid = tmp_path / "grid.txt"
+        grid.write_text("lambdas = 1e-5\nalphas = 1e-3\ndropouts = 0.0,1.0\n")
+        rc = run(["tune", "--data", str(tmp_path / "nope"), "--grid", str(grid),
+                  "--config", str(tiny_config_file), "--out", str(tmp_path / "t.csv")])
+        assert rc == cli.EXIT_CONFIG
+        assert "dropout_rate" in capsys.readouterr().err
+
     def test_unknown_grid_key_exit_2(self, tiny_dataset_dir, tiny_config_file,
                                      tmp_path, capsys):
         grid = tmp_path / "grid.txt"
@@ -244,3 +298,10 @@ class TestConfigParsing:
     def test_invalid_choice_rejected(self):
         with pytest.raises(ConfigError, match="scaler_mode"):
             parse_config_lines(["scaler_mode = robust"])
+
+    @pytest.mark.parametrize("key, value", [("learning_rate", "0.0"), ("patience", "0"),
+                                            ("batch_size", "0"), ("max_epochs", "0"),
+                                            ("l2_lambda", "-1e-3"), ("dropout_rate", "1.0")])
+    def test_training_bound_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=key):
+            parse_config_lines([f"{key} = {value}"])

@@ -15,9 +15,9 @@ def make_data(rng, n=24, dim=10):
 
 
 def builder_for(dim=10):
-    def build(cfg: trainer.TrainConfig) -> Model:
-        return Model([Flatten(), Dense(8, activation="relu"), Dropout(cfg.dropout_rate),
-                      SoftmaxOutput(3, l2_lambda=cfg.l2_lambda)]).build((dim,), seed=cfg.seed)
+    def build(cell: TuneCell) -> Model:
+        return Model([Flatten(), Dense(8, activation="relu"), Dropout(cell.dropout_rate),
+                      SoftmaxOutput(3, l2_lambda=cell.l2_lambda)]).build((dim,), seed=cell.seed)
     return build
 
 
@@ -30,9 +30,9 @@ class TestGridSpec:
                         base=BASE)
         cells = grid.cells()
         assert len(cells) == 4
-        combos = [(c.l2_lambda, c.dropout_rate) for _, c in cells]
+        combos = [(c.l2_lambda, c.dropout_rate) for c in cells]
         assert combos == [(1e-3, 0.0), (1e-3, 0.25), (1e-5, 0.0), (1e-5, 0.25)]
-        seeds = [s for s, _ in cells]
+        seeds = [c.seed for c in cells]
         assert len(set(seeds)) == 4
 
     def test_rejects_empty_axis(self):
@@ -58,9 +58,9 @@ class TestGridSearch:
         cell = results[0]
         assert not cell.failed
 
-        seed, cfg = grid.cells()[0]
-        model = builder_for()(cfg)
-        history = trainer.train(model, tr_im, tr_lb, cfg)
+        standalone = grid.cells()[0]
+        model = builder_for()(standalone)
+        history = trainer.train(model, tr_im, tr_lb, grid.train_config(standalone))
         assert history.losses == cell.history.losses
         preds, _ = trainer.predict(model, te_im)
         from liftrisk import metrics
@@ -83,9 +83,9 @@ class TestGridSearch:
         rng = np.random.default_rng(2)
         images, labels = make_data(rng)
 
-        def sabotaging_builder(cfg: trainer.TrainConfig) -> Model:
-            model = builder_for()(cfg)
-            if cfg.dropout_rate == 0.5:
+        def sabotaging_builder(cell: TuneCell) -> Model:
+            model = builder_for()(cell)
+            if cell.dropout_rate == 0.5:
                 model.layers[-1].w[0, 0] = np.nan
             return model
 

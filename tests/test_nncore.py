@@ -4,11 +4,12 @@ against central finite differences."""
 import numpy as np
 import pytest
 
+from liftrisk.errors import CheckpointMismatchError
 from liftrisk.nncore import (AvgPool, BatchNorm, Conv2D, Dense, Dropout, Flatten, MaxPool,
-                             Model, SoftmaxOutput, batchnorm_forward, build_preset,
-                             conv2d_forward, dense_forward, dropout, load_checkpoint,
-                             model_from_spec_lines, pool2d_forward, save_checkpoint,
+                             Model, SoftmaxOutput, build_preset, conv2d_batch,
+                             load_checkpoint, model_from_spec_lines, save_checkpoint,
                              softmax_output)
+from liftrisk.trainer import predict
 
 H_FD = 1e-5
 
@@ -36,6 +37,19 @@ def rel_err(analytic, numeric):
     return abs(analytic - numeric) / max(abs(analytic), abs(numeric))
 
 
+def conv_kernel(x, w, b):
+    """One image [H,W,Cin] through the batched conv kernel, pre-activation."""
+    out, _ = conv2d_batch(x[None], w, b)
+    return out[0]
+
+
+def layer_forward(layer, x, train=False, rng=None):
+    """Build `layer` for the per-sample shape of batch `x`, then run it."""
+    layer.build(x.shape[1:], np.random.default_rng(0), x.dtype)
+    y, _ = layer.forward(x, train, rng)
+    return y
+
+
 class TestConvForward:
     def test_identity_kernel(self):
         rng = np.random.default_rng(0)
@@ -43,13 +57,13 @@ class TestConvForward:
         w = np.zeros((3, 3, 2, 2))
         w[1, 1, 0, 0] = 1.0
         w[1, 1, 1, 1] = 1.0
-        out = conv2d_forward(x, w, np.zeros(2))
+        out = conv_kernel(x, w, np.zeros(2))
         assert np.allclose(out, x, atol=1e-12)
 
     def test_border_arithmetic(self):
         x = np.ones((5, 5, 1))
         w = np.ones((3, 3, 1, 1))
-        out = conv2d_forward(x, w, np.zeros(1))[:, :, 0]
+        out = conv_kernel(x, w, np.zeros(1))[:, :, 0]
         assert out[2, 2] == 9
         assert out[0, 2] == 6 and out[2, 0] == 6
         assert out[0, 0] == 4 and out[4, 4] == 4
@@ -62,80 +76,85 @@ class TestConvForward:
             x = rng.normal(size=(hh, ww, cin))
             w = rng.normal(size=(3, 3, cin, cout))
             b = rng.normal(size=cout)
-            assert np.max(np.abs(conv2d_forward(x, w, b) - conv_naive(x, w, b))) < 1e-10
-
-    def test_rejects_non_3x3(self):
-        with pytest.raises(ValueError):
-            conv2d_forward(np.zeros((4, 4, 1)), np.zeros((5, 5, 1, 1)), np.zeros(1))
+            assert np.max(np.abs(conv_kernel(x, w, b) - conv_naive(x, w, b))) < 1e-10
 
 
 class TestPooling:
     def test_avg_single_window(self):
-        x = np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(2, 2, 1)
-        assert pool2d_forward(x, "avg")[0, 0, 0] == 2.5
+        x = np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(1, 2, 2, 1)
+        assert layer_forward(AvgPool(), x)[0, 0, 0, 0] == 2.5
 
     def test_max_single_window(self):
-        x = np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(2, 2, 1)
-        assert pool2d_forward(x, "max")[0, 0, 0] == 4.0
+        x = np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(1, 2, 2, 1)
+        assert layer_forward(MaxPool(), x)[0, 0, 0, 0] == 4.0
 
     def test_floor_semantics_95(self):
-        x = np.zeros((95, 95, 4))
-        assert pool2d_forward(x, "avg").shape == (47, 47, 4)
+        x = np.zeros((1, 95, 95, 4))
+        assert layer_forward(AvgPool(), x).shape == (1, 47, 47, 4)
 
     def test_odd_trailing_dropped(self):
-        x = np.arange(5 * 3 * 1, dtype=float).reshape(5, 3, 1)
-        out = pool2d_forward(x, "max")
+        x = np.arange(5 * 3 * 1, dtype=float).reshape(1, 5, 3, 1)
+        out = layer_forward(MaxPool(), x)[0]
         assert out.shape == (2, 1, 1)
         # windows never read row 4 or column 2
-        assert out[0, 0, 0] == x[0:2, 0:2, 0].max()
-        assert out[1, 0, 0] == x[2:4, 0:2, 0].max()
+        assert out[0, 0, 0] == x[0, 0:2, 0:2, 0].max()
+        assert out[1, 0, 0] == x[0, 2:4, 0:2, 0].max()
 
     def test_constant_preserved(self):
-        x = np.full((6, 6, 2), 3.7)
-        assert np.all(pool2d_forward(x, "avg") == 3.7)
-        assert np.all(pool2d_forward(x, "max") == 3.7)
+        x = np.full((1, 6, 6, 2), 3.7)
+        assert np.all(layer_forward(AvgPool(), x) == 3.7)
+        assert np.all(layer_forward(MaxPool(), x) == 3.7)
 
     def test_rejects_tiny_input(self):
         with pytest.raises(ValueError):
-            pool2d_forward(np.zeros((1, 5, 1)), "avg")
+            AvgPool().build((1, 5, 1), np.random.default_rng(0), np.float64)
 
 
 class TestDropout:
     def test_rate_zero_identity(self):
         rng = np.random.default_rng(2)
         x = rng.normal(size=(10, 10))
-        assert np.array_equal(dropout(x, 0.0, "train", rng), x)
-        assert np.array_equal(dropout(x, 0.0, "infer"), x)
+        assert np.array_equal(layer_forward(Dropout(0.0), x, True, rng), x)
+        assert np.array_equal(layer_forward(Dropout(0.0), x), x)
 
     def test_infer_identity(self):
         rng = np.random.default_rng(3)
         x = rng.normal(size=(10, 10))
-        assert np.array_equal(dropout(x, 0.25, "infer"), x)
+        assert np.array_equal(layer_forward(Dropout(0.25), x), x)
 
     def test_inverted_scaling_unbiased(self):
         rng = np.random.default_rng(4)
-        x = np.ones(1_000_000)
-        y = dropout(x, 0.25, "train", rng)
+        x = np.ones((1, 1_000_000))
+        y = layer_forward(Dropout(0.25), x, True, rng)
         assert abs(y.mean() - 1.0) < 0.01
         kept = y[y != 0]
         assert np.allclose(kept, 1.0 / 0.75)
 
     def test_deterministic_given_seed(self):
         x = np.ones((100, 100))
-        y1 = dropout(x, 0.5, "train", np.random.default_rng(9))
-        y2 = dropout(x, 0.5, "train", np.random.default_rng(9))
+        y1 = layer_forward(Dropout(0.5), x, True, np.random.default_rng(9))
+        y2 = layer_forward(Dropout(0.5), x, True, np.random.default_rng(9))
         assert np.array_equal(y1, y2)
 
     def test_rejects_bad_rate(self):
         with pytest.raises(ValueError):
-            dropout(np.ones(3), 1.0, "train", np.random.default_rng(0))
+            Dropout(1.0)
+
+
+def dense_layer(w, b):
+    layer = Dense(w.shape[1], activation="none")
+    layer.build((w.shape[0],), np.random.default_rng(0), np.float64)
+    layer.w[...] = w
+    layer.b[...] = b
+    return layer
 
 
 class TestDense:
     def test_identity(self):
         rng = np.random.default_rng(5)
-        x = rng.normal(size=7)
-        assert np.allclose(dense_forward(x, np.eye(7), np.zeros(7)), x)
+        x = rng.normal(size=(1, 7))
+        y, _ = dense_layer(np.eye(7), np.zeros(7)).forward(x, False, None)
+        assert np.allclose(y, x)
 
     def test_against_loop_oracle(self):
         rng = np.random.default_rng(6)
@@ -143,48 +162,55 @@ class TestDense:
         w = rng.normal(size=(5, 4))
         b = rng.normal(size=4)
         expected = np.array([sum(x[i] * w[i, j] for i in range(5)) + b[j] for j in range(4)])
-        assert np.max(np.abs(dense_forward(x, w, b) - expected)) < 1e-12
+        y, _ = dense_layer(w, b).forward(x[None], False, None)
+        assert np.max(np.abs(y[0] - expected)) < 1e-12
 
     def test_zero_input_gives_bias(self):
         b = np.array([1.0, -2.0, 3.0])
-        assert np.array_equal(dense_forward(np.zeros(4), np.ones((4, 3)), b), b)
+        y, _ = dense_layer(np.ones((4, 3)), b).forward(np.zeros((1, 4)), False, None)
+        assert np.array_equal(y[0], b)
+
+
+def batchnorm_layer(gamma, beta, momentum=0.9):
+    """A BatchNorm with the given affine parameters and unit running stats."""
+    layer = BatchNorm(momentum=momentum)
+    layer.build(gamma.shape, np.random.default_rng(0), np.float64)
+    layer.gamma[...] = gamma
+    layer.beta[...] = beta
+    return layer
 
 
 class TestBatchNorm:
     def test_normalizes_batch(self):
         rng = np.random.default_rng(7)
         x = rng.normal(3.0, 2.0, size=(64, 5))
-        g = np.ones(5)
-        bcast = np.zeros(5)
-        y, _, _ = batchnorm_forward(x, g, bcast, np.zeros(5), np.ones(5), "train")
+        y, _ = batchnorm_layer(np.ones(5), np.zeros(5)).forward(x, True, None)
         assert np.max(np.abs(y.mean(axis=0))) < 1e-9
         assert np.max(np.abs(y.var(axis=0) - 1.0)) < 1e-4
 
     def test_affine_applied(self):
         rng = np.random.default_rng(8)
         x = rng.normal(size=(32, 4))
-        y1, _, _ = batchnorm_forward(x, np.ones(4), np.zeros(4), np.zeros(4), np.ones(4), "train")
-        y2, _, _ = batchnorm_forward(x, np.full(4, 2.0), np.full(4, 3.0),
-                                     np.zeros(4), np.ones(4), "train")
+        y1, _ = batchnorm_layer(np.ones(4), np.zeros(4)).forward(x, True, None)
+        y2, _ = batchnorm_layer(np.full(4, 2.0), np.full(4, 3.0)).forward(x, True, None)
         assert np.allclose(y2, 2.0 * y1 + 3.0, atol=1e-12)
 
     def test_infer_identity_with_unit_stats(self):
         rng = np.random.default_rng(9)
         x = rng.normal(size=(10, 6))
-        y, _, _ = batchnorm_forward(x, np.ones(6), np.zeros(6), np.zeros(6), np.ones(6), "infer")
+        y, _ = batchnorm_layer(np.ones(6), np.zeros(6)).forward(x, False, None)
         assert np.max(np.abs(y - x)) < 1e-5 * np.max(np.abs(x)) + 1e-12
 
     def test_running_stats_update(self):
         x = np.vstack([np.zeros(3), np.full(3, 2.0)])  # mean 1, var 1
-        _, rm, rv = batchnorm_forward(x, np.ones(3), np.zeros(3),
-                                      np.zeros(3), np.ones(3), "train", momentum=0.9)
-        assert np.allclose(rm, 0.1)
-        assert np.allclose(rv, 0.9 * 1.0 + 0.1 * 1.0)
+        layer = batchnorm_layer(np.ones(3), np.zeros(3), momentum=0.9)
+        layer.forward(x, True, None)
+        assert np.allclose(layer.running_mean, 0.1)
+        assert np.allclose(layer.running_var, 0.9 * 1.0 + 0.1 * 1.0)
 
     def test_rejects_batch_of_one(self):
         with pytest.raises(ValueError):
-            batchnorm_forward(np.ones((1, 3)), np.ones(3), np.zeros(3),
-                              np.zeros(3), np.ones(3), "train")
+            batchnorm_layer(np.ones(3), np.zeros(3)).forward(np.ones((1, 3)), True, None)
 
 
 class TestSoftmax:
@@ -477,8 +503,8 @@ class TestCheckpoint:
         loaded, _, _ = load_checkpoint(path)
         rng = np.random.default_rng(42)
         x = rng.normal(size=(6, 12, 12, 3)).astype(np.float32)
-        c1, p1 = model.predict(x)
-        c2, p2 = loaded.predict(x)
+        c1, p1 = predict(model, x)
+        c2, p2 = predict(loaded, x)
         assert np.array_equal(c1, c2)
         assert np.array_equal(p1, p2)
 
@@ -488,6 +514,46 @@ class TestCheckpoint:
         save_checkpoint(p1, model, ["seed = 7"])
         save_checkpoint(p2, model, ["seed = 7"])
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_resave_byte_identical(self, tmp_path):
+        # the loader fills tensors by position; a BN model covers params and state
+        model = self._trained_ish_model()
+        assert any(isinstance(l, BatchNorm) for l in model.layers)
+        first, second = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
+        save_checkpoint(first, model, ["seed = 7"],
+                        extra_tensors={"scaler_params": np.arange(72.0).reshape(36, 2)})
+        loaded, config_lines, extra = load_checkpoint(first)
+        save_checkpoint(second, loaded, config_lines, extra_tensors=extra)
+        assert first.read_bytes() == second.read_bytes()
+
+    def test_truncated_is_mismatch(self, tmp_path):
+        model = self._trained_ish_model()
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, model, ["seed = 7"],
+                        extra_tensors={"scaler_params": np.arange(72.0).reshape(36, 2)})
+        blob = path.read_bytes()
+        # every cut in the text before the first payload, a cut at 2000 bytes,
+        # and cuts spread through the payloads
+        first_payload = blob.index(b"tensor layer00.w")
+        first_payload = blob.index(b"\n", first_payload) + 1
+        cuts = [*range(len(b"LRISK\n"), first_payload + 1), 2000,
+                *range(first_payload + 1, len(blob), 97), len(blob) - 1]
+        for cut in cuts:
+            path.write_bytes(blob[:cut])
+            with pytest.raises(CheckpointMismatchError, match="m.ckpt"):
+                load_checkpoint(path)
+
+    def test_rejects_non_3x3(self, tmp_path):
+        # a conv kernel whose header says 5x5 disagrees with the 3x3 layer spec
+        model = self._trained_ish_model()
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, model, [])
+        header = b"tensor layer00.w 4 3 3 3 4\n"
+        blob = path.read_bytes()
+        assert header in blob
+        path.write_bytes(blob.replace(header, b"tensor layer00.w 4 5 5 3 4\n"))
+        with pytest.raises(CheckpointMismatchError, match="layer00.w"):
+            load_checkpoint(path)
 
     def test_magic_checked(self, tmp_path):
         path = tmp_path / "bad.ckpt"

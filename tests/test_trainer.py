@@ -150,7 +150,7 @@ class TestTrainLoop:
         model = tiny_mlp(seed=1)
         x = rng.normal(size=(1, 12))
         cfg = TrainConfig(batch_size=1, max_epochs=5, patience=10, seed=1,
-                          learning_rate=1e-2, dropout_rate=0.0)
+                          learning_rate=1e-2)
         history = train(model, x, np.array([2]), cfg)
         assert len(history.losses) == 5
         diffs = np.diff(history.losses)
@@ -160,7 +160,7 @@ class TestTrainLoop:
     def test_determinism(self):
         rng = np.random.default_rng(2)
         images, labels = tiny_dataset(rng)
-        cfg = TrainConfig(batch_size=8, max_epochs=6, seed=3, dropout_rate=0.1)
+        cfg = TrainConfig(batch_size=8, max_epochs=6, seed=3)
 
         def run():
             model = Model([Flatten(), Dense(8, activation="relu"), Dropout(0.1),
@@ -178,7 +178,7 @@ class TestTrainLoop:
     def test_presentation_order_invariance(self):
         rng = np.random.default_rng(4)
         images, labels = tiny_dataset(rng)
-        cfg = TrainConfig(batch_size=8, max_epochs=5, seed=5, dropout_rate=0.0)
+        cfg = TrainConfig(batch_size=8, max_epochs=5, seed=5)
 
         def run(order):
             model = tiny_mlp(seed=5)
@@ -197,7 +197,7 @@ class TestTrainLoop:
         rng = np.random.default_rng(6)
         images, labels = tiny_dataset(rng, n=18)
         cfg = TrainConfig(batch_size=6, max_epochs=12, patience=3, seed=7,
-                          learning_rate=5e-2, dropout_rate=0.0)
+                          learning_rate=5e-2)
         model = tiny_mlp(seed=7)
         history = train(model, images, labels, cfg)
         assert history.restored_from_epoch == int(np.argmin(history.losses)) + 1
@@ -212,7 +212,7 @@ class TestTrainLoop:
         w = rng.normal(size=(6, 3))
         params = [w]
         state = AdamState.for_params(params)
-        cfg = TrainConfig(learning_rate=1e-2, l2_lambda=0.1, dropout_rate=0.0)
+        cfg = TrainConfig(learning_rate=1e-2)
         norms = [float(np.linalg.norm(w))]
         for _ in range(50):
             adam_step(params, [2.0 * 0.1 * w], state, cfg)
@@ -224,8 +224,7 @@ class TestTrainLoop:
         model = Model([Flatten(), SoftmaxOutput(3, l2_lambda=0.1)]).build((4,), seed=8)
         images = np.zeros((6, 4))
         labels = np.array([0, 1, 2, 0, 1, 2])
-        cfg = TrainConfig(batch_size=6, max_epochs=30, patience=30, seed=8,
-                          l2_lambda=0.1, dropout_rate=0.0)
+        cfg = TrainConfig(batch_size=6, max_epochs=30, patience=30, seed=8)
         w0 = float(np.sum(model.layers[-1].w ** 2))
         train(model, images, labels, cfg)
         # loss is minimized over epochs; restored weights have smaller norm
@@ -243,7 +242,7 @@ class TestTrainLoop:
         model.layers[-1].w[0, 0] = np.inf
         rng = np.random.default_rng(9)
         images, labels = tiny_dataset(rng, n=12)
-        cfg = TrainConfig(batch_size=4, max_epochs=10, seed=9, dropout_rate=0.0)
+        cfg = TrainConfig(batch_size=4, max_epochs=10, seed=9)
         with pytest.raises(TrainingDivergedError) as err, np.errstate(invalid="ignore"):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
@@ -258,7 +257,7 @@ class TestTrainLoop:
             p[:] = 0.0
         images = np.zeros((6, 4))
         labels = np.array([0, 1, 2, 0, 1, 2])
-        cfg = TrainConfig(batch_size=6, max_epochs=50, patience=4, seed=10, dropout_rate=0.0)
+        cfg = TrainConfig(batch_size=6, max_epochs=50, patience=4, seed=10)
         history = train(model, images, labels, cfg)
         # zero inputs + balanced labels: logits gradient sums to zero, loss fixed
         assert history.stopped_epoch == 5

@@ -145,10 +145,12 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     model, ckpt_config, scaler = pipeline.load_trained(args.model)
     config = _load_cli_config(args.config, fallback=ckpt_config)
-    trials, manifest = synthdata.load_dataset(args.data)
+    trials, manifest, _ = pipeline.load_test_split(args.data, config)
     cm, _ = pipeline.evaluate_checkpoint(model, config, scaler, trials, manifest)
     if args.out:
-        metrics.write_report_csv(args.out, cm, _comment_header(config))
+        out = Path(args.out)
+        out.parent.mkdir(parents=True, exist_ok=True)
+        metrics.write_report_csv(out, cm, _comment_header(config))
     acc = metrics.accuracy(cm)
     rk_value = float(metrics.rk(cm))
     print(f"test accuracy {acc:.4f}, R_K {rk_value:.4f}")
@@ -160,7 +162,7 @@ def cmd_eval(args) -> int:
 
 def cmd_saliency(args) -> int:
     model, config, scaler = pipeline.load_trained(args.model)
-    trials, manifest = synthdata.load_dataset(args.data)
+    trials, manifest, positions = pipeline.load_test_split(args.data, config)
     pipeline.check_geometry(model, config)
     data = pipeline.prepare(trials, manifest, config, scaler=scaler)
     outputs = pipeline.saliency_for_class(model, data, args.class_name)
@@ -169,9 +171,9 @@ def cmd_saliency(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     saliency.export_saliency(outputs.mean_magnitude,
                              out / f"saliency_{args.class_name}_mean.pgm")
-    for i, smap in zip(outputs.image_indices, outputs.per_image):
+    for i, smap in zip(outputs.image_indices, outputs.per_image):  # named by manifest row
         saliency.export_saliency(smap.magnitude,
-                                 out / f"saliency_{args.class_name}_img{i:04d}.pgm")
+                                 out / f"saliency_{args.class_name}_img{positions[i]:04d}.pgm")
     saliency.write_attribution_csv(out / f"attribution_{args.class_name}.csv",
                                    outputs.attribution, _comment_header(config))
     top = [outputs.attribution.sensor_names[s] for s in outputs.attribution.ranking[:4]]

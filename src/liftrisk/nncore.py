@@ -409,14 +409,21 @@ class Model:
 
     def forward(self, x: np.ndarray, train: bool = False,
                 rng: np.random.Generator | None = None) -> np.ndarray:
-        """Probabilities for a batch; train mode records caches for backward."""
+        """Probabilities for a batch; train mode records caches for backward.
+
+        An inference pass drops each layer's cache (a conv layer's im2col
+        patches among them) as soon as the layer returns.
+        """
         if not self.built:
             raise RuntimeError("model is not built")
         x = np.asarray(x, dtype=self.dtype)
         caches = []
         for layer in self.layers:
-            x, cache = layer.forward(x, train, rng)
-            caches.append(cache)
+            if train:
+                x, cache = layer.forward(x, True, rng)
+                caches.append(cache)
+            else:
+                x = layer.forward(x, False, rng)[0]
         if train:
             self._train_caches = caches
             self._train_probs = x
@@ -597,13 +604,14 @@ def _layer_tensors(model: Model) -> list[tuple[str, np.ndarray]]:
 def load_checkpoint(path) -> tuple[Model, list[str], dict[str, np.ndarray]]:
     """Rebuild the model from the layer spec and fill its tensors in order.
 
-    A file cut short anywhere after the magic line, or a tensor whose name
-    or shape disagrees with the layer spec, raises CheckpointMismatchError.
+    A file that does not start with the magic line, one cut short anywhere
+    after it, or a tensor whose name or shape disagrees with the layer spec
+    raises CheckpointMismatchError naming the file.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
     if not blob.startswith(CHECKPOINT_MAGIC + b"\n"):
-        raise ValueError(f"{path}: not a checkpoint (bad magic)")
+        raise CheckpointMismatchError(f"{path}: not a checkpoint (bad magic)")
     pos = len(CHECKPOINT_MAGIC) + 1
 
     def truncated() -> CheckpointMismatchError:

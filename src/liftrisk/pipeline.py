@@ -37,6 +37,20 @@ def assign_split(manifest: Manifest, config: PipelineConfig) -> Manifest:
     return synthdata.split_dataset(manifest, config.train_fraction, seed=config.seed)
 
 
+def load_test_split(directory, config: PipelineConfig,
+                    ) -> tuple[list[signals.TrialRecording], Manifest, list[int]]:
+    """Only the test split's trials, read after the whole manifest is split
+    as `prepare` would split it, with that split's manifest and each
+    trial's position in the whole manifest."""
+    manifest = assign_split(synthdata.load_manifest(directory), config)
+    positions = [i for i, e in enumerate(manifest.entries) if e.split == "test"]
+    if not positions:
+        raise DataError(f"no test-split trials in {directory}", path=str(directory))
+    test = Manifest(entries=[manifest.entries[i] for i in positions])
+    trials, test = synthdata.load_dataset(directory, test)
+    return trials, test, positions
+
+
 def prepare(trials, manifest: Manifest, config: PipelineConfig,
             scaler: signals.ChannelScaler | None = None) -> PreparedData:
     """filter -> pad -> scale (fitted on the training split) -> encode."""

@@ -12,6 +12,7 @@ keeps the discriminative signal.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -228,14 +229,16 @@ def save_dataset(directory, trials: list[TrialRecording], manifest: Manifest) ->
         w.writerow(MANIFEST_HEADER)
         for e in manifest.entries:
             w.writerow([e.trial_file, e.subject_id, e.zone, e.trial_index, e.frame_count, e.split])
+    header = ",".join(TRIAL_HEADER) + "\r\n"
     for trial, entry in zip(trials, manifest.entries):
         path = directory / entry.trial_file
         path.parent.mkdir(parents=True, exist_ok=True)
+        frames = np.asarray(trial.channels, dtype=np.float64).T.tolist()
+        # the bytes csv.writer writes: repr of each value, "\r\n" line ends
+        rows = (f"{frame}," + ",".join(map(repr, values)) + "\r\n"
+                for frame, values in enumerate(frames))
         with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(TRIAL_HEADER)
-            for frame in range(trial.n_frames):
-                w.writerow([frame] + [repr(float(v)) for v in trial.channels[:, frame]])
+            fh.write(header + "".join(rows))
 
 
 def _csv_rows(fh):
@@ -246,9 +249,8 @@ def _csv_rows(fh):
         yield lineno, row
 
 
-def load_dataset(directory) -> tuple[list[TrialRecording], Manifest]:
-    directory = Path(directory)
-    manifest_path = directory / "manifest.csv"
+def load_manifest(directory) -> Manifest:
+    manifest_path = Path(directory) / "manifest.csv"
     if not manifest_path.exists():
         raise DataError(f"manifest not found: {manifest_path}", path=str(manifest_path))
     entries: list[ManifestEntry] = []
@@ -271,7 +273,16 @@ def load_dataset(directory) -> tuple[list[TrialRecording], Manifest]:
             except ValueError as exc:
                 raise MalformedRowError(f"{manifest_path}:{lineno}: {exc}",
                                         path=str(manifest_path), line=lineno) from exc
-    manifest = Manifest(entries=entries)
+    return Manifest(entries=entries)
+
+
+def load_dataset(directory, manifest: Manifest | None = None,
+                 ) -> tuple[list[TrialRecording], Manifest]:
+    """The trials of `manifest`, by default of the directory's whole
+    manifest.csv, read from their files under `directory`."""
+    directory = Path(directory)
+    if manifest is None:
+        manifest = load_manifest(directory)
     trials = [_load_trial(directory / e.trial_file, e) for e in manifest.entries]
     return trials, manifest
 
@@ -279,30 +290,68 @@ def load_dataset(directory) -> tuple[list[TrialRecording], Manifest]:
 def _load_trial(path: Path, entry: ManifestEntry) -> TrialRecording:
     if not path.exists():
         raise MissingTrialFileError(f"trial file missing: {path}", path=str(path))
-    rows: list[list[float]] = []
     with open(path, newline="") as fh:
-        data_rows = _csv_rows(fh)
-        first = next(data_rows, None)
-        if first is None or len(first[1]) != N_CHANNELS + 1:
-            raise ChannelCountMismatchError(
-                f"{path}:1: expected {N_CHANNELS + 1} columns in header, got "
-                f"{0 if first is None else len(first[1])}",
-                path=str(path), line=1)
-        for lineno, row in data_rows:
-            if len(row) != N_CHANNELS + 1:
-                raise MalformedRowError(
-                    f"{path}:{lineno}: expected {N_CHANNELS + 1} columns, got {len(row)}",
-                    path=str(path), line=lineno)
-            try:
-                values = [float(v) for v in row[1:]]
-            except ValueError as exc:
-                raise MalformedRowError(f"{path}:{lineno}: {exc}", path=str(path), line=lineno) from exc
-            if not all(map(math.isfinite, values)):
-                raise MalformedRowError(f"{path}:{lineno}: non-finite sensor value",
-                                        path=str(path), line=lineno)
-            rows.append(values)
+        text = fh.read()
+    values = _parse_plain_trial(text)
+    if values is None:
+        values = _parse_validated_trial(path, text)
+    return TrialRecording(subject_id=entry.subject_id, zone=entry.zone,
+                          trial_index=entry.trial_index, channels=values.T)
+
+
+def _parse_plain_trial(text: str) -> np.ndarray | None:
+    """[frames, 36] sensor values of a file in the plain form save_dataset
+    writes, parsed in one call; None for any other file.
+
+    Plain: a 37-column header, at least one data row, every row 37
+    columns, LF or CRLF line ends, no blank line, no '#', no quote, no NUL,
+    and every sensor value finite.  On such a file the row validator reads
+    the same values, so it is left to name the file and line of every
+    other file's fault.  The frame column is parsed here too, so a
+    non-numeric frame also takes the validator's path, which ignores it.
+    """
+    body = text.replace("\r\n", "\n")
+    if any(c in body for c in ("#", '"', "\x00", "\r")):
+        return None
+    lines = body.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    if len(lines) < 2 or lines[0].count(",") != N_CHANNELS:
+        return None
+    try:
+        table = np.loadtxt(lines[1:], delimiter=",", dtype=np.float64, comments=None, ndmin=2)
+    except ValueError:
+        return None
+    # loadtxt skips blank lines, which the validator rejects
+    if table.shape != (len(lines) - 1, N_CHANNELS + 1) or not np.isfinite(table[:, 1:]).all():
+        return None
+    return np.ascontiguousarray(table[:, 1:])
+
+
+def _parse_validated_trial(path: Path, text: str) -> np.ndarray:
+    """[frames, 36] sensor values read row by row; a fault raises an error
+    naming the file and line."""
+    rows: list[list[float]] = []
+    data_rows = _csv_rows(io.StringIO(text, newline=""))
+    first = next(data_rows, None)
+    if first is None or len(first[1]) != N_CHANNELS + 1:
+        raise ChannelCountMismatchError(
+            f"{path}:1: expected {N_CHANNELS + 1} columns in header, got "
+            f"{0 if first is None else len(first[1])}",
+            path=str(path), line=1)
+    for lineno, row in data_rows:
+        if len(row) != N_CHANNELS + 1:
+            raise MalformedRowError(
+                f"{path}:{lineno}: expected {N_CHANNELS + 1} columns, got {len(row)}",
+                path=str(path), line=lineno)
+        try:
+            values = [float(v) for v in row[1:]]
+        except ValueError as exc:
+            raise MalformedRowError(f"{path}:{lineno}: {exc}", path=str(path), line=lineno) from exc
+        if not all(map(math.isfinite, values)):
+            raise MalformedRowError(f"{path}:{lineno}: non-finite sensor value",
+                                    path=str(path), line=lineno)
+        rows.append(values)
     if not rows:
         raise MalformedRowError(f"{path}: no data rows", path=str(path), line=2)
-    channels = np.asarray(rows, dtype=np.float64).T
-    return TrialRecording(subject_id=entry.subject_id, zone=entry.zone,
-                          trial_index=entry.trial_index, channels=channels)
+    return np.asarray(rows, dtype=np.float64)

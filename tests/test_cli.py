@@ -1,17 +1,26 @@
 """CLI commands end to end at tiny scale: outputs, determinism, exit codes."""
 
+import shutil
 import warnings
 
 import numpy as np
 import pytest
 
-from liftrisk import cli
+from liftrisk import cli, pipeline, synthdata
 from liftrisk.config import load_config, parse_config_lines
 from liftrisk.errors import ConfigError
 
 
 def run(args):
     return cli.main(args)
+
+
+@pytest.fixture()
+def trained(tiny_dataset_dir, tiny_config_file, tmp_path):
+    ckpt = tmp_path / "model.ckpt"
+    assert run(["train", "--data", str(tiny_dataset_dir), "--config",
+                str(tiny_config_file), "--out", str(ckpt)]) == 0
+    return ckpt
 
 
 class TestSynth:
@@ -144,13 +153,6 @@ class TestTrain:
 
 
 class TestEval:
-    @pytest.fixture()
-    def trained(self, tiny_dataset_dir, tiny_config_file, tmp_path):
-        ckpt = tmp_path / "model.ckpt"
-        assert run(["train", "--data", str(tiny_dataset_dir), "--config",
-                    str(tiny_config_file), "--out", str(ckpt)]) == 0
-        return ckpt
-
     def test_eval_matches_train_report(self, trained, tiny_dataset_dir, tmp_path):
         out = tmp_path / "eval.csv"
         assert run(["eval", "--model", str(trained), "--data", str(tiny_dataset_dir),
@@ -180,6 +182,20 @@ class TestEval:
         rc = run(["eval", "--model", str(cut), "--data", str(tiny_dataset_dir)])
         assert rc == cli.EXIT_MISMATCH
         assert "cut.ckpt" in capsys.readouterr().err
+
+    def test_bad_magic_exit_5(self, tiny_dataset_dir, tmp_path, capsys):
+        garbage = tmp_path / "garbage.ckpt"
+        garbage.write_bytes(b"not a checkpoint at all\n")
+        rc = run(["eval", "--model", str(garbage), "--data", str(tiny_dataset_dir)])
+        assert rc == cli.EXIT_MISMATCH
+        err = capsys.readouterr().err
+        assert "garbage.ckpt" in err and "magic" in err and "Traceback" not in err
+
+    def test_out_into_missing_directory(self, trained, tiny_dataset_dir, tmp_path):
+        out = tmp_path / "not" / "yet" / "eval.csv"
+        assert run(["eval", "--model", str(trained), "--data", str(tiny_dataset_dir),
+                    "--out", str(out)]) == 0
+        assert "r_k," in out.read_text()
 
     def test_missing_checkpoint_is_error(self, tiny_dataset_dir, tmp_path):
         with pytest.raises(FileNotFoundError):
@@ -216,6 +232,65 @@ class TestSaliencyCmd:
         assert (out / "saliency_high_mean.pgm").exists()
         attr = (out / "attribution_high.csv").read_text().splitlines()
         assert "sensor,total,rank" in attr
+
+
+class TestReadsTestSplitOnly:
+    """eval and saliency read the manifest and the test split's trial files only."""
+
+    @staticmethod
+    def copy_without(dataset, tmp_path, split):
+        """A copy of the dataset with every trial file of `split` deleted;
+        returns the copy and the deleted files."""
+        from tests.conftest import TINY_CONFIG
+
+        copy = tmp_path / f"no_{split}"
+        shutil.copytree(dataset, copy)
+        manifest = pipeline.assign_split(synthdata.load_manifest(copy), TINY_CONFIG)
+        gone = [copy / e.trial_file for e in manifest.entries if e.split == split]
+        for path in gone:
+            path.unlink()
+        return copy, gone
+
+    @staticmethod
+    def outputs(trained, dataset, out):
+        """Bytes of eval's metrics CSV and of every saliency output file."""
+        assert run(["eval", "--model", str(trained), "--data", str(dataset),
+                    "--out", str(out / "eval.csv")]) == 0
+        assert run(["saliency", "--model", str(trained), "--data", str(dataset),
+                    "--class", "high", "--out", str(out / "sal")]) == 0
+        return {p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*"))
+                if p.is_file()}
+
+    def test_train_split_files_unread(self, trained, tiny_dataset_dir, tmp_path):
+        pruned, gone = self.copy_without(tiny_dataset_dir, tmp_path, "train")
+        assert gone
+        full = self.outputs(trained, tiny_dataset_dir, tmp_path / "full")
+        assert any(p.suffix == ".pgm" and "img" in p.name for p in full)
+        assert self.outputs(trained, pruned, tmp_path / "pruned") == full
+
+    @pytest.mark.parametrize("command", ["eval", "saliency"])
+    def test_missing_test_split_file_exit_3(self, trained, tiny_dataset_dir, tmp_path,
+                                            capsys, command):
+        pruned, gone = self.copy_without(tiny_dataset_dir, tmp_path, "test")
+        extra = ["--class", "high", "--out", str(tmp_path / "sal")] if command == "saliency" else []
+        argv = [command, "--model", str(trained), "--data", str(pruned), *extra]
+        assert run(argv) == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert gone[0].name in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("first, rest, message", [
+        ("train", "train", "no test-split trials"),
+        ("test", "unassigned", "partially assigned")], ids=["all-train", "partly-assigned"])
+    def test_unusable_split_exit_3(self, trained, tiny_dataset_dir, tmp_path, capsys,
+                                   first, rest, message):
+        data = tmp_path / "resplit"
+        shutil.copytree(tiny_dataset_dir, data)
+        manifest = synthdata.load_manifest(data)
+        for i, entry in enumerate(manifest.entries):
+            entry.split = rest if i else first
+        pipeline.write_manifest_csv(data / "manifest.csv", manifest)
+        assert run(["eval", "--model", str(trained), "--data", str(data)]) == cli.EXIT_DATA
+        assert message in capsys.readouterr().err
 
 
 class TestTune:

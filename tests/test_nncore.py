@@ -406,6 +406,32 @@ class TestModelGradients:
         assert worst < 1e-3
 
 
+class TestInferenceCaches:
+    def test_inference_pass_drops_each_cache(self):
+        import weakref
+
+        model = build_preset("vgg_b_avg", conv_filters=(4, 4, 8), dense_units=8,
+                             dropout_rate=0.25).build((12, 12, 3), seed=7)
+        first, second = model.layers[:2]
+        patches, alive = [], []
+
+        def first_forward(x, train, rng):
+            y, cache = Conv2D.forward(first, x, train, rng)
+            patches.append(weakref.ref(cache[0]))  # the im2col patch matrix
+            return y, cache
+
+        def second_forward(x, train, rng):
+            alive.append(patches[-1]() is not None)
+            return type(second).forward(second, x, train, rng)
+
+        first.forward, second.forward = first_forward, second_forward
+        x = np.random.default_rng(43).normal(size=(3, 12, 12, 3))
+        model.forward(x, train=False)
+        assert alive == [False]
+        model.forward(x, train=True, rng=np.random.default_rng(0))
+        assert alive == [False, True]  # train mode keeps it for backward
+
+
 class TestPresets:
     def test_vgg_b_avg_table_structure(self):
         model = build_preset("vgg_b_avg")
@@ -558,8 +584,9 @@ class TestCheckpoint:
     def test_magic_checked(self, tmp_path):
         path = tmp_path / "bad.ckpt"
         path.write_bytes(b"NOPE\nversion 1\n")
-        with pytest.raises(ValueError, match="magic"):
+        with pytest.raises(CheckpointMismatchError, match="magic") as err:
             load_checkpoint(path)
+        assert "bad.ckpt" in str(err.value)
 
     def test_spec_lines_roundtrip(self):
         model = build_preset("vgg_b_avg", dropout_rate=0.25, l2_lambda=1e-5)

@@ -1,8 +1,13 @@
 """Generator determinism, class structure, split behavior, and the CSV
 dataset round trip with its error reporting."""
 
+import csv
+import io
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from liftrisk import signals, synthdata
 from liftrisk.errors import (ChannelCountMismatchError, DataError, MalformedRowError,
@@ -198,6 +203,107 @@ class TestSaveLoad:
         mpath.write_text("# a comment\n" + mpath.read_text())
         loaded, loaded_manifest = load_dataset(tmp_path)
         assert loaded_manifest == manifest
+
+
+class TestTrialFiles:
+    def test_writer_bytes_match_csv_writer(self, tmp_path):
+        trials, manifest = generate_dataset(SMALL)
+        save_dataset(tmp_path, trials[:1], Manifest(entries=manifest.entries[:1]))
+        oracle = io.StringIO(newline="")
+        w = csv.writer(oracle)
+        w.writerow(synthdata.TRIAL_HEADER)
+        for frame in range(trials[0].n_frames):
+            w.writerow([frame] + [repr(float(v)) for v in trials[0].channels[:, frame]])
+        written = (tmp_path / manifest.entries[0].trial_file).read_bytes()
+        assert written == oracle.getvalue().encode()
+
+    def test_saved_file_takes_the_whole_file_parse(self, tmp_path):
+        trials, manifest = generate_dataset(SMALL)
+        save_dataset(tmp_path, trials[:1], Manifest(entries=manifest.entries[:1]))
+        path = tmp_path / manifest.entries[0].trial_file
+        text = path.read_bytes().decode()
+        fast = synthdata._parse_plain_trial(text)
+        assert fast is not None
+        assert _same_bits(fast, synthdata._parse_validated_trial(path, text))
+        assert _same_bits(fast, trials[0].channels.T)
+
+    @settings(max_examples=400, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_reader_agrees_with_validator(self, tmp_path, data):
+        n_rows = data.draw(st.integers(1, 3))
+        values = data.draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                    min_size=36 * n_rows, max_size=36 * n_rows))
+        lines = [",".join(synthdata.TRIAL_HEADER)]
+        lines += [",".join([str(r)] + [repr(v) for v in values[36 * r: 36 * (r + 1)]])
+                  for r in range(n_rows)]
+        for mutation in data.draw(st.lists(st.sampled_from(sorted(MUTATIONS)), max_size=3)):
+            MUTATIONS[mutation](lines, data)
+        ending = data.draw(st.sampled_from(["\r\n", "\n", "\r"]))
+        text = ending.join(lines) + data.draw(st.sampled_from([ending, ""]))
+        path = tmp_path / "trial.csv"
+        path.write_bytes(text.encode())
+        entry = ManifestEntry("trial.csv", 0, 1, 0, n_rows)
+
+        def outcome(read):
+            try:
+                return read()
+            except DataError as exc:
+                return type(exc), exc.line, str(exc)
+
+        got = outcome(lambda: synthdata._load_trial(path, entry).channels.T)
+        want = outcome(lambda: synthdata._parse_validated_trial(path, text))
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            assert _same_bits(got, want)
+
+
+def _same_bits(a, b) -> bool:
+    return (a.shape == b.shape and a.dtype == b.dtype
+            and np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes())
+
+
+def _set_field(lines, data, column, value):
+    k = data.draw(st.integers(1, len(lines) - 1)) if len(lines) > 1 else 0
+    fields = lines[k].split(",")
+    fields[min(column, len(fields) - 1)] = value
+    lines[k] = ",".join(fields)
+
+
+def _mid_line_hash(lines, data):
+    k = data.draw(st.integers(0, len(lines) - 1))
+    j = data.draw(st.integers(1, max(1, len(lines[k]) - 1)))
+    lines[k] = lines[k][:j] + "#" + lines[k][j:]
+
+
+def _quoted_field(lines, data):
+    k = data.draw(st.integers(0, len(lines) - 1))
+    fields = lines[k].split(",")
+    c = data.draw(st.integers(0, len(fields) - 1))
+    fields[c] = f'"{fields[c]}"'
+    lines[k] = ",".join(fields)
+
+
+def _trailing_comma(lines, data):
+    k = data.draw(st.integers(0, len(lines) - 1))
+    lines[k] += ","
+
+
+# Edits of a well-formed trial file, each of which the whole-file parse must
+# hand to the row validator (or read exactly as the validator does).
+MUTATIONS = {
+    "blank line": lambda lines, data: lines.insert(data.draw(st.integers(0, len(lines))), ""),
+    "mid-line #": _mid_line_hash,
+    "quoted field": _quoted_field,
+    "trailing comma": _trailing_comma,
+    "non-finite": lambda lines, data: _set_field(
+        lines, data, data.draw(st.integers(1, 36)),
+        data.draw(st.sampled_from(["nan", "inf", "-inf", "Infinity", "1e400"]))),
+    "underscore": lambda lines, data: _set_field(lines, data, data.draw(st.integers(1, 36)),
+                                                 "1_000"),
+    "non-numeric frame": lambda lines, data: _set_field(lines, data, 0, "frame7"),
+}
 
 
 class TestManifest:

@@ -165,7 +165,7 @@ def cmd_saliency(args) -> int:
     trials, manifest, positions = pipeline.load_test_split(args.data, config)
     pipeline.check_geometry(model, config)
     data = pipeline.prepare(trials, manifest, config, scaler=scaler)
-    outputs = pipeline.saliency_for_class(model, data, args.class_name)
+    outputs = pipeline.saliency_for_class(model, data, args.class_name, args.data)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

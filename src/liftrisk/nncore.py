@@ -94,7 +94,11 @@ class Layer:
     def forward(self, x: np.ndarray, train: bool, rng: np.random.Generator | None):
         raise NotImplementedError
 
-    def backward(self, dout: np.ndarray, cache) -> tuple[np.ndarray, list[np.ndarray]]:
+    def backward(self, dout: np.ndarray, cache, need_dx: bool = True, need_grads: bool = True,
+                 ) -> tuple[np.ndarray | None, list[np.ndarray] | None]:
+        """(input gradient, parameter gradients) for the upstream gradient
+        `dout`; either is None when its flag is false, except that a layer
+        without parameters always returns an empty list."""
         raise NotImplementedError
 
     def spec_line(self) -> str:
@@ -129,16 +133,18 @@ class Conv2D(Layer):
         mask = z > 0
         return z * mask, (cols, mask, x.shape)
 
-    def backward(self, dout, cache):
+    def backward(self, dout, cache, need_dx=True, need_grads=True):
         cols, mask, x_shape = cache
         dz = dout * mask
-        dz_flat = dz.reshape(-1, self.filters)
-        dw = (cols.T @ dz_flat).reshape(self.w.shape)
-        db = dz_flat.sum(axis=0)
-        # dx = same-padding correlation of dz with the flipped, transposed kernel
-        wf = self.w[::-1, ::-1].transpose(0, 1, 3, 2)
-        dx = (_im2col(dz) @ wf.reshape(-1, wf.shape[3])).reshape(x_shape)
-        return dx, [dw, db]
+        grads = dx = None
+        if need_grads:
+            dz_flat = dz.reshape(-1, self.filters)
+            grads = [(cols.T @ dz_flat).reshape(self.w.shape), dz_flat.sum(axis=0)]
+        if need_dx:
+            # same-padding correlation of dz with the flipped, transposed kernel
+            wf = self.w[::-1, ::-1].transpose(0, 1, 3, 2)
+            dx = (_im2col(dz) @ wf.reshape(-1, wf.shape[3])).reshape(x_shape)
+        return dx, grads
 
     def spec_line(self):
         return f"conv2d filters={self.filters}"
@@ -154,14 +160,20 @@ class AvgPool(Layer):
     def forward(self, x, train, rng):
         return avgpool_batch(x), x.shape
 
-    def backward(self, dout, cache):
+    def backward(self, dout, cache, need_dx=True, need_grads=True):
+        if not need_dx:
+            return None, []
         x_shape = cache
         n, h, w, c = x_shape
         h2, w2 = h // 2, w // 2
         dx = np.zeros(x_shape, dtype=dout.dtype)
-        # each source cell of a window receives 1/4 of the gradient
-        up = np.repeat(np.repeat(dout, 2, axis=1), 2, axis=2) * 0.25
-        dx[:, : 2 * h2, : 2 * w2, :] = up
+        # each source cell of a window receives 1/4 of the gradient, written
+        # through strided views of dx: a reshape of the trimmed slice that
+        # merges axes is a copy when H or W is odd, and would drop the writes
+        quarter = dout * 0.25
+        for i in (0, 1):
+            for j in (0, 1):
+                dx[:, i: 2 * h2: 2, j: 2 * w2: 2, :] = quarter
         return dx, []
 
     def spec_line(self):
@@ -179,7 +191,9 @@ class MaxPool(Layer):
         pooled, arg = maxpool_batch(x)
         return pooled, (arg, x.shape)
 
-    def backward(self, dout, cache):
+    def backward(self, dout, cache, need_dx=True, need_grads=True):
+        if not need_dx:
+            return None, []
         arg, x_shape = cache
         n, h, w, c = x_shape
         h2, w2 = h // 2, w // 2
@@ -209,10 +223,10 @@ class Dropout(Layer):
         mask = (rng.random(x.shape) >= self.rate).astype(x.dtype) / (1.0 - self.rate)
         return x * mask, mask
 
-    def backward(self, dout, cache):
-        if cache is None:
-            return dout, []
-        return dout * cache, []
+    def backward(self, dout, cache, need_dx=True, need_grads=True):
+        if not need_dx:
+            return None, []
+        return (dout if cache is None else dout * cache), []
 
     def spec_line(self):
         return f"dropout rate={self.rate!r}"
@@ -228,8 +242,8 @@ class Flatten(Layer):
     def forward(self, x, train, rng):
         return x.reshape(x.shape[0], -1), x.shape
 
-    def backward(self, dout, cache):
-        return dout.reshape(cache), []
+    def backward(self, dout, cache, need_dx=True, need_grads=True):
+        return (dout.reshape(cache) if need_dx else None), []
 
     def spec_line(self):
         return "flatten"
@@ -260,12 +274,11 @@ class Dense(Layer):
             return z * mask, (x, mask)
         return z, (x, None)
 
-    def backward(self, dout, cache):
+    def backward(self, dout, cache, need_dx=True, need_grads=True):
         x, mask = cache
         dz = dout * mask if mask is not None else dout
-        dw = x.T @ dz
-        db = dz.sum(axis=0)
-        return dz @ self.w.T, [dw, db]
+        grads = [x.T @ dz, dz.sum(axis=0)] if need_grads else None
+        return (dz @ self.w.T if need_dx else None), grads
 
     def spec_line(self):
         return f"dense units={self.units} activation={self.activation}"
@@ -311,18 +324,20 @@ class BatchNorm(Layer):
         xhat = (x - self.running_mean) * inv_std
         return self.gamma * xhat + self.beta, ("infer", None, inv_std)
 
-    def backward(self, dout, cache):
+    def backward(self, dout, cache, need_dx=True, need_grads=True):
         mode, xhat, inv_std = cache
         if mode == "infer":
             # running stats are constants at inference; pure affine map
-            return dout * self.gamma * inv_std, [np.zeros_like(self.gamma),
-                                                 np.zeros_like(self.beta)]
-        n = dout.shape[0]
-        dgamma = (dout * xhat).sum(axis=0)
-        dbeta = dout.sum(axis=0)
-        dxhat = dout * self.gamma
-        dx = (inv_std / n) * (n * dxhat - dxhat.sum(axis=0) - xhat * (dxhat * xhat).sum(axis=0))
-        return dx, [dgamma, dbeta]
+            grads = [np.zeros_like(self.gamma), np.zeros_like(self.beta)] if need_grads else None
+            return (dout * self.gamma * inv_std if need_dx else None), grads
+        grads = [(dout * xhat).sum(axis=0), dout.sum(axis=0)] if need_grads else None
+        dx = None
+        if need_dx:
+            n = dout.shape[0]
+            dxhat = dout * self.gamma
+            dx = (inv_std / n) * (n * dxhat - dxhat.sum(axis=0)
+                                  - xhat * (dxhat * xhat).sum(axis=0))
+        return dx, grads
 
     def spec_line(self):
         return f"batchnorm momentum={self.momentum!r} epsilon={self.epsilon!r}"
@@ -360,11 +375,12 @@ class SoftmaxOutput(Layer):
         probs = softmax_output(logits).astype(x.dtype)
         return probs, (x, logits, probs)
 
-    def backward(self, dlogits, cache):
+    def backward(self, dlogits, cache, need_dx=True, need_grads=True):
         x, _, _ = cache
-        dw = x.T @ dlogits + 2.0 * self.l2_lambda * self.w
-        db = dlogits.sum(axis=0)
-        return dlogits @ self.w.T, [dw, db]
+        grads = None
+        if need_grads:
+            grads = [x.T @ dlogits + 2.0 * self.l2_lambda * self.w, dlogits.sum(axis=0)]
+        return (dlogits @ self.w.T if need_dx else None), grads
 
     def spec_line(self):
         return f"softmax classes={self.classes} l2_lambda={self.l2_lambda!r}"
@@ -411,11 +427,15 @@ class Model:
                 rng: np.random.Generator | None = None) -> np.ndarray:
         """Probabilities for a batch; train mode records caches for backward.
 
-        An inference pass drops each layer's cache (a conv layer's im2col
-        patches among them) as soon as the layer returns.
+        Every pass first drops the previous train-mode pass's caches, so two
+        steps' caches are never held at once.  An inference pass drops each
+        layer's cache (a conv layer's im2col patches among them) as soon as
+        the layer returns.
         """
         if not self.built:
             raise RuntimeError("model is not built")
+        self._train_caches = None
+        self._train_probs = None
         x = np.asarray(x, dtype=self.dtype)
         caches = []
         for layer in self.layers:
@@ -427,32 +447,28 @@ class Model:
         if train:
             self._train_caches = caches
             self._train_probs = x
-        else:
-            self._train_caches = None
-            self._train_probs = None
         return x
 
     def backward(self, onehot: np.ndarray) -> list[np.ndarray]:
         """Gradients of (mean cross-entropy + L2 on the output layer) for every
-        parameter, using the caches of the last train-mode forward."""
+        parameter, using the caches of the last train-mode forward.  The
+        first layer's input gradient is never computed."""
         if self._train_caches is None:
             raise RuntimeError("backward requires a preceding train-mode forward")
         n = onehot.shape[0]
         dlogits = (self._train_probs - onehot.astype(self.dtype)) / n
-        grads, _ = self._backprop(dlogits, self._train_caches)
-        return grads
-
-    def _backprop(self, dlogits: np.ndarray, caches: list) -> tuple[list[np.ndarray], np.ndarray]:
         grads_rev: list[list[np.ndarray]] = []
         dout = dlogits
-        for layer, cache in zip(reversed(self.layers), reversed(caches)):
-            dout, g = layer.backward(dout, cache)
+        for i in range(len(self.layers) - 1, -1, -1):
+            # flags go positionally: a wrapper installed around a layer's
+            # backward may pass on positional arguments only
+            dout, g = self.layers[i].backward(dout, self._train_caches[i], i > 0, True)
             grads_rev.append(g)
-        flat = [a for g in reversed(grads_rev) for a in g]
-        return flat, dout
+        return [a for g in reversed(grads_rev) for a in g]
 
     def logit_input_gradient(self, x: np.ndarray, class_index: int) -> np.ndarray:
-        """d(logit of class_index)/d(input) per sample, inference mode.
+        """d(logit of class_index)/d(input) per sample, inference mode; no
+        parameter gradient is computed.
 
         Caches stay local to this call, so concurrent invocations against one
         trained model do not interfere.
@@ -465,10 +481,11 @@ class Model:
         for layer in self.layers:
             out, cache = layer.forward(out, False, None)
             caches.append(cache)
-        dlogits = np.zeros(out.shape, dtype=self.dtype)
-        dlogits[:, class_index] = 1.0
-        _, dx = self._backprop(dlogits, caches)
-        return dx
+        dout = np.zeros(out.shape, dtype=self.dtype)
+        dout[:, class_index] = 1.0
+        for layer, cache in zip(reversed(self.layers), reversed(caches)):
+            dout, _ = layer.backward(dout, cache, True, False)
+        return dout
 
     def snapshot(self) -> list[np.ndarray]:
         return [a.copy() for layer in self.layers for a in (*layer.params(), *layer.state())]
@@ -604,9 +621,10 @@ def _layer_tensors(model: Model) -> list[tuple[str, np.ndarray]]:
 def load_checkpoint(path) -> tuple[Model, list[str], dict[str, np.ndarray]]:
     """Rebuild the model from the layer spec and fill its tensors in order.
 
-    A file that does not start with the magic line, one cut short anywhere
-    after it, or a tensor whose name or shape disagrees with the layer spec
-    raises CheckpointMismatchError naming the file.
+    A file that does not start with the magic line, one of another version,
+    one cut short anywhere after it, or a tensor whose name or shape
+    disagrees with the layer spec raises CheckpointMismatchError naming the
+    file.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -641,7 +659,8 @@ def load_checkpoint(path) -> tuple[Model, list[str], dict[str, np.ndarray]]:
 
     version = int(read_line().split()[1])
     if version != CHECKPOINT_VERSION:
-        raise ValueError(f"{path}: unsupported checkpoint version {version}")
+        raise CheckpointMismatchError(f"{path}: unsupported checkpoint version {version} "
+                                      f"(this build reads version {CHECKPOINT_VERSION})")
     n_config = int(read_line().split()[1])
     config_lines = [read_line() for _ in range(n_config)]
     n_layers = int(read_line().split()[1])

@@ -147,13 +147,16 @@ class SaliencyOutputs:
     image_indices: list[int]
 
 
-def saliency_for_class(model: Model, data: PreparedData, class_name: str) -> SaliencyOutputs:
+def saliency_for_class(model: Model, data: PreparedData, class_name: str,
+                       directory=None) -> SaliencyOutputs:
     """Per-image saliency maps over the test images of one class, plus the
-    mean map and its sensor attribution."""
+    mean map and its sensor attribution.  A class with no test image is a
+    DataError naming the class and `directory`, the dataset it came from."""
     class_index = RISK_CLASSES.index(class_name)
     idx = [int(i) for i in data.test_idx if data.labels[i] == class_index]
     if not idx:
-        raise ValueError(f"no test images with class {class_name!r}")
+        where = "" if directory is None else f" in {directory}"
+        raise DataError(f"no test-split images of class {class_name!r}{where}")
     maps = [saliency.class_score_gradient(model, data.encoded[i], class_index) for i in idx]
     mean_mag = saliency.mean_magnitude(maps)
     attr = saliency.sensor_attribution(mean_mag, data.encoded[idx[0]])

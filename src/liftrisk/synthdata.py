@@ -132,14 +132,23 @@ class Manifest:
     entries: list[ManifestEntry] = field(default_factory=list)
 
     def __post_init__(self):
-        paths = [e.trial_file for e in self.entries]
-        if len(set(paths)) != len(paths):
-            raise ValueError("manifest trial_file paths must be unique")
+        seen: set[str] = set()
         for e in self.entries:
-            if not 1 <= e.zone <= 12:
-                raise ValueError(f"manifest zone out of range: {e.zone}")
-            if e.split not in SPLIT_VALUES:
-                raise ValueError(f"bad split value {e.split!r}")
+            problem = _entry_problem(e, seen)
+            if problem:
+                raise ValueError(f"manifest {problem}")
+            seen.add(e.trial_file)
+
+
+def _entry_problem(entry: ManifestEntry, seen: set[str]) -> str | None:
+    """Why `entry` cannot join a manifest whose trial files are `seen`, or None."""
+    if entry.trial_file in seen:
+        return f"trial_file {entry.trial_file!r} is repeated"
+    if not 1 <= entry.zone <= 12:
+        return f"zone {entry.zone} is outside 1-12"
+    if entry.split not in SPLIT_VALUES:
+        return f"split {entry.split!r} is not one of {', '.join(SPLIT_VALUES)}"
+    return None
 
 
 def generate_dataset(p: DatasetProfile, g: GeneratorParams | None = None,
@@ -254,6 +263,7 @@ def load_manifest(directory) -> Manifest:
     if not manifest_path.exists():
         raise DataError(f"manifest not found: {manifest_path}", path=str(manifest_path))
     entries: list[ManifestEntry] = []
+    seen: set[str] = set()
     with open(manifest_path, newline="") as fh:
         rows = _csv_rows(fh)
         first = next(rows, None)
@@ -267,12 +277,18 @@ def load_manifest(directory) -> Manifest:
                     f"got {len(row)}",
                     path=str(manifest_path), line=lineno)
             try:
-                entries.append(ManifestEntry(
+                entry = ManifestEntry(
                     trial_file=row[0], subject_id=int(row[1]), zone=int(row[2]),
-                    trial_index=int(row[3]), frame_count=int(row[4]), split=row[5]))
+                    trial_index=int(row[3]), frame_count=int(row[4]), split=row[5])
             except ValueError as exc:
                 raise MalformedRowError(f"{manifest_path}:{lineno}: {exc}",
                                         path=str(manifest_path), line=lineno) from exc
+            problem = _entry_problem(entry, seen)
+            if problem:
+                raise MalformedRowError(f"{manifest_path}:{lineno}: {problem}",
+                                        path=str(manifest_path), line=lineno)
+            seen.add(entry.trial_file)
+            entries.append(entry)
     return Manifest(entries=entries)
 
 

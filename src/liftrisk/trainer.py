@@ -18,6 +18,9 @@ from .nncore import Model
 
 LOG_CLAMP = 1e-12
 EVAL_BATCH = 128
+# elements per Adam block: a block's parameter, gradient, moments and scratch
+# stay in cache through all of the update's passes
+ADAM_BLOCK = 32768
 
 
 @dataclass
@@ -82,17 +85,43 @@ class AdamState:
 def adam_step(params: list[np.ndarray], grads: list[np.ndarray],
               state: AdamState, config: TrainConfig) -> AdamState:
     """One bias-corrected update, in place: m <- b1*m + (1-b1)*g,
-    v <- b2*v + (1-b2)*g^2, theta <- theta - alpha * m_hat / (sqrt(v_hat) + eps)."""
+    v <- b2*v + (1-b2)*g^2, theta <- theta - alpha * m_hat / (sqrt(v_hat) + eps).
+
+    Each parameter is updated in blocks of whole rows (first-axis slices,
+    so views for any memory layout) of about ADAM_BLOCK elements.  Every
+    element goes through the same operations, in the same order and dtypes,
+    as in a whole-array update, so the result is the same bit for bit.
+    """
     state.t += 1
     b1, b2 = config.beta1, config.beta2
     bc1 = 1.0 - b1 ** state.t
     bc2 = 1.0 - b2 ** state.t
+    lr, eps = config.learning_rate, config.epsilon
     for p, g, m, v in zip(params, grads, state.m, state.v):
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * np.square(g)
-        p -= config.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + config.epsilon)
+        rows = max(1, ADAM_BLOCK // p[0].size)
+        # scratch: g's terms in g's dtype, the step and its denominator in
+        # the moments' dtypes, as the whole-array expressions would have them
+        g_tmp = np.empty_like(g[:rows])
+        step, denom = np.empty_like(m[:rows]), np.empty_like(v[:rows])
+        for lo in range(0, len(p), rows):
+            block = slice(lo, lo + rows)
+            pb, gb, mb, vb = p[block], g[block], m[block], v[block]
+            k = len(pb)
+            t, s, d = g_tmp[:k], step[:k], denom[:k]
+            mb *= b1
+            np.multiply(1.0 - b1, gb, out=t)
+            mb += t
+            vb *= b2
+            np.square(gb, out=t)
+            np.multiply(1.0 - b2, t, out=t)
+            vb += t
+            np.divide(mb, bc1, out=s)
+            np.multiply(lr, s, out=s)
+            np.divide(vb, bc2, out=d)
+            np.sqrt(d, out=d)
+            np.add(d, eps, out=d)
+            np.divide(s, d, out=s)
+            pb -= s
     return state
 
 
@@ -181,8 +210,8 @@ def train(model: Model, images: np.ndarray, labels: np.ndarray,
             stop = starts[si + 1] if si + 1 < len(starts) else n
             batch = perm[start:stop]
             model.forward(images[batch], train=True, rng=rng)
-            grads = model.backward(onehot[batch])
-            adam_step(params, grads, state, config)
+            # the gradients live only for the update
+            adam_step(params, model.backward(onehot[batch]), state, config)
 
         epoch_loss, epoch_acc = evaluate(model, images, onehot, l2_lambda)
         if not np.isfinite(epoch_loss):

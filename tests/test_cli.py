@@ -197,6 +197,16 @@ class TestEval:
                     "--out", str(out)]) == 0
         assert "r_k," in out.read_text()
 
+    def test_unsupported_version_exit_5(self, trained, tiny_dataset_dir, tmp_path, capsys):
+        other = tmp_path / "v9.ckpt"
+        blob = trained.read_bytes()
+        assert b"\nversion 1\n" in blob
+        other.write_bytes(blob.replace(b"\nversion 1\n", b"\nversion 9\n", 1))
+        rc = run(["eval", "--model", str(other), "--data", str(tiny_dataset_dir)])
+        assert rc == cli.EXIT_MISMATCH
+        err = capsys.readouterr().err
+        assert "v9.ckpt" in err and "version 9" in err and "Traceback" not in err
+
     def test_missing_checkpoint_is_error(self, tiny_dataset_dir, tmp_path):
         with pytest.raises(FileNotFoundError):
             run(["eval", "--model", str(tmp_path / "none.ckpt"),
@@ -232,6 +242,38 @@ class TestSaliencyCmd:
         assert (out / "saliency_high_mean.pgm").exists()
         attr = (out / "attribution_high.csv").read_text().splitlines()
         assert "sensor,total,rank" in attr
+
+    def test_class_without_test_images_exit_3(self, trained, tiny_dataset_dir, tmp_path,
+                                              capsys):
+        # the tiny dataset's test split holds only medium and high trials
+        rc = run(["saliency", "--model", str(trained), "--data", str(tiny_dataset_dir),
+                  "--class", "low", "--out", str(tmp_path / "sal")])
+        assert rc == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert "'low'" in err and str(tiny_dataset_dir) in err and "Traceback" not in err
+
+
+class TestManifestRows:
+    @pytest.mark.parametrize("field, value, message", [
+        (0, None, "is repeated"),        # line 2's trial_file again
+        (2, "13", "zone 13 is outside 1-12"),
+        (5, "dev", "split 'dev' is not one of"),
+    ], ids=["repeated-trial-file", "zone", "split"])
+    def test_bad_row_exit_3(self, tiny_dataset_dir, tiny_config_file, tmp_path, capsys,
+                            field, value, message):
+        data = tmp_path / "data"
+        data.mkdir()
+        lines = (tiny_dataset_dir / "manifest.csv").read_text().splitlines()
+        assert lines[0].startswith("trial_file,")
+        row = lines[2].split(",")
+        row[field] = lines[1].split(",")[0] if value is None else value
+        lines[2] = ",".join(row)
+        (data / "manifest.csv").write_text("\n".join(lines) + "\n")
+        rc = run(["train", "--data", str(data), "--config", str(tiny_config_file),
+                  "--out", str(tmp_path / "model.ckpt")])
+        assert rc == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert "manifest.csv:3:" in err and message in err and "Traceback" not in err
 
 
 class TestReadsTestSplitOnly:

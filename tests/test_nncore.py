@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 from liftrisk.errors import CheckpointMismatchError
-from liftrisk.nncore import (AvgPool, BatchNorm, Conv2D, Dense, Dropout, Flatten, MaxPool,
-                             Model, SoftmaxOutput, build_preset, conv2d_batch,
-                             load_checkpoint, model_from_spec_lines, save_checkpoint,
-                             softmax_output)
-from liftrisk.trainer import predict
+from liftrisk.nncore import (PRESET_NAMES, AvgPool, BatchNorm, Conv2D, Dense, Dropout,
+                             Flatten, MaxPool, Model, SoftmaxOutput, build_preset,
+                             conv2d_batch, load_checkpoint, model_from_spec_lines,
+                             save_checkpoint, softmax_output)
+from liftrisk.trainer import TrainConfig, predict, train
 
 H_FD = 1e-5
 
@@ -406,6 +406,128 @@ class TestModelGradients:
         assert worst < 1e-3
 
 
+def forward_with_caches(model, x, train, rng):
+    """Every layer's forward in turn; the output and each layer's cache."""
+    caches = []
+    for layer in model.layers:
+        x, cache = layer.forward(x, train, rng)
+        caches.append(cache)
+    return x, caches
+
+
+def full_backward(model, caches, dout):
+    """Every layer's backward with its default flags, so each input and
+    parameter gradient is computed; (flat parameter gradients, input gradient)."""
+    grads = []
+    for layer, cache in zip(reversed(model.layers), reversed(caches)):
+        dout, g = layer.backward(dout, cache)
+        grads[:0] = g
+    return grads, dout
+
+
+def avgpool_backward_repeat(dout, x_shape):
+    """Average-pool input gradient by upsampling with two np.repeat calls."""
+    n, h, w, c = x_shape
+    dx = np.zeros(x_shape, dtype=dout.dtype)
+    dx[:, : 2 * (h // 2), : 2 * (w // 2), :] = np.repeat(np.repeat(dout, 2, axis=1), 2,
+                                                         axis=2) * 0.25
+    return dx
+
+
+def small_preset(name, dtype=np.float64):
+    """A preset at toy size on odd image sides, so pooling drops a row and a column."""
+    return build_preset(name, conv_filters=(4, 4, 8), dense_units=8,
+                        dropout_rate=0.25, l2_lambda=1e-3).build((13, 11, 3), seed=5,
+                                                                 dtype=dtype)
+
+
+class TestBackwardFlags:
+    """Skipping unread gradients leaves every gradient that is read bit-identical."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_model_backward_matches_full_backward(self, name, dtype):
+        model = small_preset(name, dtype)
+        rng = np.random.default_rng(50)
+        x = rng.normal(size=(4, 13, 11, 3)).astype(dtype)
+        onehot = np.eye(3)[[0, 1, 2, 1]]
+        model.forward(x, train=True, rng=np.random.default_rng(51))
+        grads = model.backward(onehot)
+
+        probs, caches = forward_with_caches(model, x, True, np.random.default_rng(51))
+        want, _ = full_backward(model, caches, (probs - onehot.astype(dtype)) / 4)
+        assert len(grads) == len(want) == len(model.params())
+        for got, ref in zip(grads, want):
+            assert got.dtype == ref.dtype and np.array_equal(got, ref)
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_logit_input_gradient_matches_full_backward(self, name):
+        model = small_preset(name)
+        rng = np.random.default_rng(52)
+        model.forward(rng.normal(size=(4, 13, 11, 3)), train=True, rng=rng)  # move BN stats
+        x = rng.normal(size=(3, 13, 11, 3))
+        for class_index in range(3):
+            out, caches = forward_with_caches(model, x, False, None)
+            dlogits = np.zeros(out.shape)
+            dlogits[:, class_index] = 1.0
+            _, want = full_backward(model, caches, dlogits)
+            assert np.array_equal(model.logit_input_gradient(x, class_index), want)
+
+    @pytest.mark.parametrize("shape", [(2, 5, 7, 3), (2, 6, 6, 2), (1, 7, 4, 1), (3, 95, 95, 2)])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_avgpool_backward_matches_repeat_form(self, shape, dtype):
+        layer = AvgPool()
+        rng = np.random.default_rng(53)
+        x = rng.normal(size=shape).astype(dtype)
+        layer.build(shape[1:], rng, dtype)
+        y, cache = layer.forward(x, True, None)
+        dout = rng.normal(size=y.shape).astype(dtype)
+        dx, grads = layer.backward(dout, cache)
+        want = avgpool_backward_repeat(dout, shape)
+        assert dx.dtype == want.dtype and np.array_equal(dx, want) and grads == []
+        assert layer.backward(dout, cache, False, True) == (None, [])
+
+    def test_flags_skip_their_outputs(self):
+        model = small_preset("vgg_b_max")
+        rng = np.random.default_rng(54)
+        _, caches = forward_with_caches(model, rng.normal(size=(2, 13, 11, 3)), True, rng)
+        dout = rng.normal(size=(2, 3))
+        for layer, cache in zip(reversed(model.layers), reversed(caches)):
+            dx, grads = layer.backward(dout, cache, False, False)
+            assert dx is None and (grads is None if layer.params() else grads == [])
+            dout, _ = layer.backward(dout, cache)
+
+    def test_positional_only_backward_wrapper(self, monkeypatch):
+        # the benchmark's traced run replaces every layer class's backward
+        # with wrapper(layer, *args); training and saliency must pass their
+        # flags through it, and layer 0's backward must still run
+        rng = np.random.default_rng(55)
+        images = rng.normal(size=(10, 13, 11, 3))
+        labels = np.arange(10) % 3
+        config = TrainConfig(batch_size=4, max_epochs=2, patience=5, seed=3)
+        plain = small_preset("vgg_b_avg")
+        plain_history = train(plain, images, labels, config)
+        plain_map = plain.logit_input_gradient(images[:2], 2)
+
+        called = []
+
+        def positional_only(fn):
+            def wrapper(layer, *args):
+                called.append(layer)
+                return fn(layer, *args)
+            return wrapper
+
+        for cls in (Conv2D, AvgPool, MaxPool, Dropout, Flatten, Dense, BatchNorm, SoftmaxOutput):
+            monkeypatch.setattr(cls, "backward", positional_only(cls.backward))
+        wrapped = small_preset("vgg_b_avg")
+        history = train(wrapped, images, labels, config)
+        assert any(layer is wrapped.layers[0] for layer in called)
+        assert history.losses == plain_history.losses
+        for a, b in zip(wrapped.snapshot(), plain.snapshot()):
+            assert np.array_equal(a, b)
+        assert np.array_equal(wrapped.logit_input_gradient(images[:2], 2), plain_map)
+
+
 class TestInferenceCaches:
     def test_inference_pass_drops_each_cache(self):
         import weakref
@@ -430,6 +552,29 @@ class TestInferenceCaches:
         assert alive == [False]
         model.forward(x, train=True, rng=np.random.default_rng(0))
         assert alive == [False, True]  # train mode keeps it for backward
+
+    def test_train_pass_drops_previous_caches_first(self):
+        import weakref
+
+        model = build_preset("vgg_b_avg", conv_filters=(4, 4, 8), dense_units=8,
+                             dropout_rate=0.25).build((12, 12, 3), seed=7)
+        first = model.layers[0]
+        seen = []
+
+        def first_forward(x, train, rng):
+            seen.append([ref() is not None for ref in patches])
+            y, cache = Conv2D.forward(first, x, train, rng)
+            patches.append(weakref.ref(cache[0]))
+            return y, cache
+
+        patches = []
+        first.forward = first_forward
+        x = np.random.default_rng(44).normal(size=(3, 12, 12, 3))
+        model.forward(x, train=True, rng=np.random.default_rng(0))
+        model.forward(x, train=True, rng=np.random.default_rng(1))
+        model.forward(x, train=False)
+        # each pass starts with the previous train-mode pass's patches gone
+        assert seen == [[], [False], [False, False]]
 
 
 class TestPresets:
@@ -580,6 +725,17 @@ class TestCheckpoint:
         path.write_bytes(blob.replace(header, b"tensor layer00.w 4 5 5 3 4\n"))
         with pytest.raises(CheckpointMismatchError, match="layer00.w"):
             load_checkpoint(path)
+
+    def test_version_checked(self, tmp_path):
+        model = self._trained_ish_model()
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, model, [])
+        blob = path.read_bytes()
+        assert blob.startswith(b"LRISK\nversion 1\n")
+        path.write_bytes(blob.replace(b"version 1", b"version 9", 1))
+        with pytest.raises(CheckpointMismatchError, match="version 9") as err:
+            load_checkpoint(path)
+        assert "m.ckpt" in str(err.value)
 
     def test_magic_checked(self, tmp_path):
         path = tmp_path / "bad.ckpt"

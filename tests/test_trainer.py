@@ -10,8 +10,8 @@ import pytest
 from liftrisk import trainer
 from liftrisk.errors import TrainingDivergedError
 from liftrisk.nncore import Dense, Dropout, Flatten, Model, SoftmaxOutput
-from liftrisk.trainer import (AdamState, EarlyStopper, TrainConfig, adam_step, loss,
-                              predict, train)
+from liftrisk.trainer import (ADAM_BLOCK, AdamState, EarlyStopper, TrainConfig, adam_step,
+                              loss, predict, train)
 
 
 def scalar_adam_reference(grad_fn, theta0, alpha, steps, b1=0.9, b2=0.999, eps=1e-8):
@@ -25,6 +25,17 @@ def scalar_adam_reference(grad_fn, theta0, alpha, steps, b1=0.9, b2=0.999, eps=1
         v_hat = v / (1 - b2 ** t)
         theta -= alpha * m_hat / (math.sqrt(v_hat) + eps)
     return theta
+
+
+def whole_array_adam(p, g, m, v, t, config):
+    """The update as one expression per array, on fresh temporaries."""
+    b1, b2 = config.beta1, config.beta2
+    m *= b1
+    m += (1.0 - b1) * g
+    v *= b2
+    v += (1.0 - b2) * np.square(g)
+    p -= config.learning_rate * (m / (1.0 - b1 ** t)) / (np.sqrt(v / (1.0 - b2 ** t))
+                                                         + config.epsilon)
 
 
 class TestLoss:
@@ -103,6 +114,24 @@ class TestAdam:
             v = 0.999 * v + 0.001 * g * g
             theta -= 0.01 * (m / (1 - 0.9 ** t)) / (math.sqrt(v / (1 - 0.999 ** t)) + 1e-8)
             assert params[0][0] == pytest.approx(theta, abs=1e-14)
+
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(1,), (ADAM_BLOCK - 1,), (ADAM_BLOCK,), (ADAM_BLOCK + 1,),
+                                       (70, 1024), (3, 3, 64, 64)],
+                             ids=["1", "block-1", "block", "block+1", "2d", "conv"])
+    def test_blocked_update_matches_whole_array_formula(self, shape, dtype):
+        rng = np.random.default_rng(7)
+        cfg = TrainConfig(learning_rate=3e-3)
+        p = rng.normal(size=shape).astype(dtype)
+        ref_p, ref_m, ref_v = p.copy(), np.zeros_like(p), np.zeros_like(p)
+        state = AdamState.for_params([p])
+        for t in range(1, 4):
+            g = rng.normal(size=shape).astype(dtype)
+            adam_step([p], [g], state, cfg)
+            whole_array_adam(ref_p, g, ref_m, ref_v, t, cfg)
+            for got, want in ((p, ref_p), (state.m[0], ref_m), (state.v[0], ref_v)):
+                assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 class TestEarlyStopper:

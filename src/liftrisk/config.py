@@ -14,8 +14,9 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError
-from .nncore import PRESET_NAMES
-from .signals import SCALER_MODES
+from .imaging import image_shape
+from .nncore import PRESET_NAMES, AvgPool, MaxPool, build_preset, pool_shape
+from .signals import SAMPLE_RATE_HZ, SCALER_MODES, check_band
 from .trainer import TrainConfig
 
 
@@ -64,6 +65,29 @@ class PipelineConfig:
             train_config_of(self)  # TrainConfig checks the training-loop bounds
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        self._check_geometry()
+
+    def _check_geometry(self) -> None:
+        """Hold the bandpass, the image wrap and the preset's pools to the
+        bounds of the functions that use them, before any data is read.  An
+        unbuilt preset holds no arrays."""
+        band = (self.filter_order, self.filter_low_hz, self.filter_high_hz)
+        try:
+            check_band(*band, SAMPLE_RATE_HZ)
+        except ValueError as exc:
+            raise ConfigError(f"filter_order, filter_low_hz, filter_high_hz = {band}: {exc}") from exc
+        size = f"target_frames = {self.target_frames}, image_width = {self.image_width}"
+        try:
+            shape = pooled = image_shape(self.target_frames, self.image_width)
+        except ValueError as exc:
+            raise ConfigError(f"{size}: {exc}") from exc
+        try:
+            for layer in build_preset(self.model_preset).layers:
+                if isinstance(layer, (AvgPool, MaxPool)):
+                    pooled = pool_shape(pooled)
+        except ValueError as exc:
+            raise ConfigError(f"{size} give image shape {shape}, too small for the pools "
+                              f"of {self.model_preset}: {exc}") from exc
 
     @property
     def np_dtype(self):

@@ -14,24 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signals import N_AXES, N_CHANNELS, N_SENSORS, SENSOR_NAMES, TrialRecording
-
-DEFAULT_WIDTH = 95
-
-
-@dataclass
-class ChannelMatrix:
-    values: np.ndarray  # [12, frames, 3]
-    sensor_names: tuple[str, ...] = SENSOR_NAMES
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.ndim != 3 or self.values.shape[0] != N_SENSORS or self.values.shape[2] != N_AXES:
-            raise ValueError(f"expected [12, frames, 3], got {self.values.shape}")
-
-    @property
-    def frames(self) -> int:
-        return self.values.shape[1]
+from .signals import N_AXES, N_SENSORS, TrialRecording
 
 
 @dataclass
@@ -65,37 +48,32 @@ class EncodedImage:
         return k % N_SENSORS, k // N_SENSORS
 
 
-def to_channel_matrix(t: TrialRecording) -> ChannelMatrix:
-    """Group the 36 channels as 12 sensors x 3 axes (axis k of sensor s is
-    channel 3s+k)."""
-    if t.channels.shape[0] != N_CHANNELS:
-        raise ValueError(f"expected {N_CHANNELS} channels, got {t.channels.shape[0]}")
+def to_channel_matrix(t: TrialRecording) -> np.ndarray:
+    """[12, frames, 3]: the 36 channels grouped as 12 sensors x 3 axes (axis k
+    of sensor s is channel 3s+k)."""
     # [36, frames] -> [12, 3, frames] -> [12, frames, 3]
-    values = t.channels.reshape(N_SENSORS, N_AXES, t.n_frames).transpose(0, 2, 1)
-    return ChannelMatrix(values=values)
-
-
-def flatten_channel_matrix(m: ChannelMatrix) -> np.ndarray:
-    """Inverse of to_channel_matrix: back to [36, frames]."""
-    return m.values.transpose(0, 2, 1).reshape(N_CHANNELS, m.frames)
+    return t.channels.reshape(N_SENSORS, N_AXES, t.n_frames).transpose(0, 2, 1)
 
 
 def image_shape(frames: int, width: int) -> tuple[int, int, int]:
     """(ceil(12*frames/width), width, 3): the shape wrap_image produces."""
+    if frames < 1:
+        raise ValueError(f"frames must be >= 1, got {frames}")
+    if width < N_SENSORS:
+        raise ValueError(f"width must be >= {N_SENSORS}, got {width}")
     return -(-N_SENSORS * frames // width), width, N_AXES
 
 
-def wrap_image(m: ChannelMatrix, width: int = DEFAULT_WIDTH) -> EncodedImage:
-    """Line-wrap the time-major flattening of each axis plane into rows of
-    ``width``; trailing cells are 0.
+def wrap_image(values: np.ndarray, width: int) -> EncodedImage:
+    """Line-wrap the time-major flattening of each axis plane of a
+    [12, frames, 3] channel matrix into rows of ``width``; trailing cells
+    are 0.
     """
-    if width < N_SENSORS:
-        raise ValueError(f"width must be >= {N_SENSORS}")
-    frames = m.frames
+    frames = values.shape[1]
     n_cells = N_SENSORS * frames
     height, _, _ = image_shape(frames, width)
     # flat[k, axis] with k = frame*12 + sensor
-    flat = m.values.transpose(1, 0, 2).reshape(n_cells, N_AXES)
+    flat = values.transpose(1, 0, 2).reshape(n_cells, N_AXES)
     pixels = np.zeros((height * width, N_AXES), dtype=np.float64)
     pixels[:n_cells] = flat
     return EncodedImage(pixels=pixels.reshape(height, width, N_AXES), frames=frames, width=width)
@@ -111,26 +89,7 @@ def unwrap_attribution(a: np.ndarray, img: EncodedImage) -> np.ndarray:
     return flat.reshape(img.frames, N_SENSORS).T
 
 
-def unwrap_image(img: EncodedImage) -> ChannelMatrix:
-    """Full inverse of wrap_image on the non-padded region."""
+def unwrap_image(img: EncodedImage) -> np.ndarray:
+    """Full inverse of wrap_image on the non-padded region: [12, frames, 3]."""
     planes = [unwrap_attribution(img.pixels[:, :, k], img) for k in range(N_AXES)]
-    return ChannelMatrix(values=np.stack(planes, axis=2))
-
-
-def export_ppm(img: EncodedImage, path) -> None:
-    """Write the image as binary PPM (P6), one byte per channel.
-
-    Values map affinely from the image's global min/max to 0..255; a
-    zero-range image maps to the 128 midpoint.
-    """
-    px = img.pixels
-    lo = float(px.min())
-    hi = float(px.max())
-    if hi - lo < 1e-300:
-        bytes_img = np.full(px.shape, 128, dtype=np.uint8)
-    else:
-        scaled = (px - lo) / (hi - lo) * 255.0
-        bytes_img = np.clip(np.rint(scaled), 0, 255).astype(np.uint8)
-    with open(path, "wb") as fh:
-        fh.write(f"P6\n{img.width} {img.height}\n255\n".encode("ascii"))
-        fh.write(bytes_img.tobytes())
+    return np.stack(planes, axis=2)

@@ -150,12 +150,17 @@ class Conv2D(Layer):
         return f"conv2d filters={self.filters}"
 
 
+def pool_shape(in_shape: tuple) -> tuple:
+    """Output shape of a 2x2 stride-2 pool, the only layer that shrinks H and W."""
+    h, w, c = in_shape
+    if h < 2 or w < 2:
+        raise ValueError(f"pooling needs H >= 2 and W >= 2, got shape {tuple(in_shape)}")
+    return (h // 2, w // 2, c)
+
+
 class AvgPool(Layer):
     def build(self, in_shape, rng, dtype):
-        h, w, c = in_shape
-        if h < 2 or w < 2:
-            raise ValueError("pooling needs H >= 2 and W >= 2")
-        return (h // 2, w // 2, c)
+        return pool_shape(in_shape)
 
     def forward(self, x, train, rng):
         return avgpool_batch(x), x.shape
@@ -182,10 +187,7 @@ class AvgPool(Layer):
 
 class MaxPool(Layer):
     def build(self, in_shape, rng, dtype):
-        h, w, c = in_shape
-        if h < 2 or w < 2:
-            raise ValueError("pooling needs H >= 2 and W >= 2")
-        return (h // 2, w // 2, c)
+        return pool_shape(in_shape)
 
     def forward(self, x, train, rng):
         pooled, arg = maxpool_batch(x)
@@ -555,11 +557,11 @@ _LAYER_PARSERS = {
 def model_from_spec_lines(lines: list[str]) -> Model:
     layers = []
     for line in lines:
-        parts = line.split()
-        kind, kw = parts[0], dict(p.split("=", 1) for p in parts[1:])
-        if kind not in _LAYER_PARSERS:
-            raise ValueError(f"unknown layer spec {line!r}")
-        layers.append(_LAYER_PARSERS[kind](kw))
+        try:
+            kind, *pairs = line.split()
+            layers.append(_LAYER_PARSERS[kind](dict(p.split("=", 1) for p in pairs)))
+        except (KeyError, ValueError) as exc:
+            raise ValueError(f"bad layer spec {line!r}: {exc!r}") from exc
     return Model(layers)
 
 
@@ -621,13 +623,17 @@ def _layer_tensors(model: Model) -> list[tuple[str, np.ndarray]]:
 def load_checkpoint(path) -> tuple[Model, list[str], dict[str, np.ndarray]]:
     """Rebuild the model from the layer spec and fill its tensors in order.
 
-    A file that does not start with the magic line, one of another version,
-    one cut short anywhere after it, or a tensor whose name or shape
+    A missing or unreadable file, one that does not start with the magic
+    line, one of another version, one cut short anywhere after it, a layer
+    spec line this build cannot read, or a tensor whose name or shape
     disagrees with the layer spec raises CheckpointMismatchError naming the
     file.
     """
-    with open(path, "rb") as fh:
-        blob = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            blob = fh.read()
+    except OSError as exc:
+        raise CheckpointMismatchError(f"{path}: cannot read checkpoint: {exc.strerror}") from exc
     if not blob.startswith(CHECKPOINT_MAGIC + b"\n"):
         raise CheckpointMismatchError(f"{path}: not a checkpoint (bad magic)")
     pos = len(CHECKPOINT_MAGIC) + 1
@@ -668,8 +674,10 @@ def load_checkpoint(path) -> tuple[Model, list[str], dict[str, np.ndarray]]:
     input_shape = tuple(int(v) for v in read_line().split()[1:])
     dtype = np.dtype(read_line().split()[1])
 
-    model = model_from_spec_lines(spec)
-    model.build(input_shape, seed=0, dtype=dtype)
+    try:
+        model = model_from_spec_lines(spec).build(input_shape, seed=0, dtype=dtype)
+    except ValueError as exc:
+        raise CheckpointMismatchError(f"{path}: {exc}") from exc
     targets = _layer_tensors(model)
 
     n_tensors = int(read_line().split()[1])

@@ -56,8 +56,7 @@ def prepare(trials, manifest: Manifest, config: PipelineConfig,
     """filter -> pad -> scale (fitted on the training split) -> encode."""
     manifest = assign_split(manifest, config)
     bandpass = signals.design_bandpass(config.filter_order, config.filter_low_hz,
-                                       config.filter_high_hz,
-                                       trials[0].sample_rate_hz if trials else 25.0)
+                                       config.filter_high_hz, signals.SAMPLE_RATE_HZ)
     processed = [signals.pad_or_truncate(signals.filter_trial(t, bandpass), config.target_frames)
                  for t in trials]
     train_idx = np.array([i for i, e in enumerate(manifest.entries) if e.split == "train"],
@@ -113,7 +112,13 @@ def save_trained(path, result: TrainResult, config: PipelineConfig) -> None:
 def load_trained(path) -> tuple[Model, PipelineConfig, signals.ChannelScaler]:
     model, config_lines, extra = load_checkpoint(path)
     config = parse_config_lines(config_lines, source=f"{path}:config")
-    scaler = signals.ChannelScaler(mode=config.scaler_mode, params=extra["scaler_params"])
+    params = extra.get("scaler_params")
+    want = (signals.N_CHANNELS, 2)
+    if params is None or params.shape != want:
+        found = "missing" if params is None else f"of shape {params.shape}"
+        raise CheckpointMismatchError(
+            f"{path}: tensor extra.scaler_params is {found}, expected shape {want}")
+    scaler = signals.ChannelScaler(mode=config.scaler_mode, params=params)
     return model, config, scaler
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,20 +31,19 @@ SENSOR_NAMES = (
 )
 
 
+# every recording, stored or generated, is sampled at this rate
+SAMPLE_RATE_HZ = 25.0
+
+
 @dataclass
 class TrialRecording:
     """One lift trial: 36 channels (12 sensors x 3 axes) of equal length.
 
-    Channel 3*s + k holds axis k of sensor s.  ``frame_count`` tracks the
-    original length through pad/truncate operations.
+    Channel 3*s + k holds axis k of sensor s.  The trial's subject, zone and
+    index live in its manifest entry.
     """
 
-    subject_id: int
-    zone: int
-    trial_index: int
     channels: np.ndarray  # [36, frames]
-    sample_rate_hz: float = 25.0
-    frame_count: int | None = None
 
     def __post_init__(self):
         self.channels = np.asarray(self.channels, dtype=np.float64)
@@ -52,12 +51,6 @@ class TrialRecording:
             raise ValueError(f"expected [{N_CHANNELS}, frames] channels, got {self.channels.shape}")
         if self.channels.shape[1] < 1:
             raise ValueError("trial must contain at least one frame")
-        if not 1 <= self.zone <= 12:
-            raise ValueError(f"zone must be in [1, 12], got {self.zone}")
-        if self.sample_rate_hz <= 0:
-            raise ValueError("sample_rate_hz must be positive")
-        if self.frame_count is None:
-            self.frame_count = self.channels.shape[1]
 
     @property
     def n_frames(self) -> int:
@@ -89,6 +82,18 @@ class BandpassFilter:
     high_clamped: bool = False
 
 
+def check_band(order: int, low_hz: float, high_hz: float, sample_rate_hz: float) -> None:
+    """Raise ValueError unless design_bandpass can design this band."""
+    if order < 1:
+        raise ValueError(f"order must be >= 1, got {order}")
+    if low_hz <= 0 or high_hz <= 0:
+        raise ValueError("band edges must be positive")
+    if low_hz >= high_hz:
+        raise ValueError(f"low_hz must be < high_hz, got {low_hz} >= {high_hz}")
+    if sample_rate_hz <= 2 * low_hz:
+        raise ValueError(f"sample_rate_hz {sample_rate_hz} must exceed 2*low_hz")
+
+
 def design_bandpass(order: int, low_hz: float, high_hz: float,
                     sample_rate_hz: float) -> BandpassFilter:
     """Design a digital Butterworth bandpass as cascaded biquads.
@@ -104,15 +109,7 @@ def design_bandpass(order: int, low_hz: float, high_hz: float,
     An upper edge at or above Nyquist is clamped to 0.99*Nyquist with a
     warning (recorded on the returned filter) rather than rejected.
     """
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    if low_hz <= 0 or high_hz <= 0:
-        raise ValueError("band edges must be positive")
-    if low_hz >= high_hz:
-        raise ValueError(f"low_hz must be < high_hz, got {low_hz} >= {high_hz}")
-    if sample_rate_hz <= 2 * low_hz:
-        raise ValueError("sample_rate_hz must exceed 2*low_hz")
-
+    check_band(order, low_hz, high_hz, sample_rate_hz)
     nyquist = sample_rate_hz / 2.0
     clamped = False
     if high_hz >= nyquist:
@@ -235,14 +232,11 @@ def _df2t_cascade(x: np.ndarray, f: BandpassFilter) -> np.ndarray:
 
 def filter_trial(t: TrialRecording, f: BandpassFilter) -> TrialRecording:
     """Apply the bandpass to every channel of a trial."""
-    return replace(t, channels=_df2t_cascade(t.channels, f), frame_count=t.frame_count)
+    return TrialRecording(_df2t_cascade(t.channels, f))
 
 
 def pad_or_truncate(t: TrialRecording, target_frames: int) -> TrialRecording:
-    """Suffix-pad with zeros or cut to exactly ``target_frames`` frames.
-
-    The original frame count survives in ``frame_count``.
-    """
+    """Suffix-pad with zeros or cut to exactly ``target_frames`` frames."""
     if target_frames < 1:
         raise ValueError("target_frames must be >= 1")
     n = t.n_frames
@@ -253,7 +247,7 @@ def pad_or_truncate(t: TrialRecording, target_frames: int) -> TrialRecording:
         out[:, :n] = t.channels
     else:
         out = t.channels[:, :target_frames].copy()
-    return replace(t, channels=out, frame_count=t.frame_count)
+    return TrialRecording(out)
 
 
 SCALER_MODES = ("standardize", "minmax")
@@ -309,4 +303,4 @@ def apply_scaler(t: TrialRecording, s: ChannelScaler) -> TrialRecording:
         spread = hi - lo
         safe = spread >= DEGENERATE_SPREAD
         out = np.where(safe, 2.0 * (x - lo) / np.where(safe, spread, 1.0) - 1.0, 0.0)
-    return replace(t, channels=out, frame_count=t.frame_count)
+    return TrialRecording(out)

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ChannelCountMismatchError, DataError, MalformedRowError, MissingTrialFileError
-from .signals import N_AXES, N_CHANNELS, N_SENSORS, TrialRecording
+from .signals import N_AXES, N_CHANNELS, N_SENSORS, SAMPLE_RATE_HZ, TrialRecording
 
 RISK_CLASSES = ("low", "medium", "high")
 
@@ -30,6 +30,7 @@ ZONE_RISK = {
     6: "medium", 7: "medium", 8: "medium", 9: "medium",
     1: "high", 2: "high", 3: "high", 10: "high", 11: "high", 12: "high",
 }
+N_ZONES = len(ZONE_RISK)
 
 SPLIT_VALUES = ("train", "test", "unassigned")
 
@@ -37,7 +38,6 @@ SPLIT_VALUES = ("train", "test", "unassigned")
 @dataclass(frozen=True)
 class RiskLabel:
     value: str
-    source_zone: int
 
     @property
     def index(self) -> int:
@@ -47,37 +47,31 @@ class RiskLabel:
 def zone_to_risk(zone: int) -> RiskLabel:
     if zone not in ZONE_RISK:
         raise ValueError(f"zone must be in [1, 12], got {zone}")
-    return RiskLabel(value=ZONE_RISK[zone], source_zone=zone)
+    return RiskLabel(value=ZONE_RISK[zone])
 
 
 @dataclass
 class DatasetProfile:
-    """Shape of the generated dataset; defaults mirror the original collection."""
+    """Shape of the generated dataset; defaults mirror the original collection
+    (every subject lifts in all 12 zones, recorded at SAMPLE_RATE_HZ)."""
 
     n_subjects: int = 10
     trials_per_zone_per_subject: int = 6
-    zones: int = 12
-    sample_rate_hz: float = 25.0
-    max_seconds: float = 30.0
     duration_low_s: float = 10.0
     duration_high_s: float = 15.0
     seed: int = 42
 
-    @property
-    def n_trials(self) -> int:
-        return self.n_subjects * self.zones * self.trials_per_zone_per_subject
-
     def class_counts(self) -> dict[str, int]:
         per_zone = self.n_subjects * self.trials_per_zone_per_subject
         counts = dict.fromkeys(RISK_CLASSES, 0)
-        for zone in range(1, self.zones + 1):
-            counts[ZONE_RISK[zone]] += per_zone
+        for risk in ZONE_RISK.values():
+            counts[risk] += per_zone
         return counts
 
 
 def desk_profile(seed: int = 42) -> DatasetProfile:
     """Short-trial profile for fast runs: every lift fits in 250 frames."""
-    return DatasetProfile(max_seconds=10.0, duration_low_s=8.0, duration_high_s=10.0, seed=seed)
+    return DatasetProfile(duration_low_s=8.0, duration_high_s=10.0, seed=seed)
 
 
 @dataclass
@@ -156,7 +150,7 @@ def generate_dataset(p: DatasetProfile, g: GeneratorParams | None = None,
     """Deterministic synthetic dataset; one RNG stream seeded from the profile."""
     g = g or GeneratorParams()
     rng = np.random.default_rng(p.seed)
-    fs = p.sample_rate_hz
+    fs = SAMPLE_RATE_HZ
 
     subject_gain = 1.0 + rng.uniform(-g.subject_gain_jitter, g.subject_gain_jitter, size=p.n_subjects)
     subject_offset = rng.uniform(-g.subject_offset_jitter_s, g.subject_offset_jitter_s, size=p.n_subjects)
@@ -164,7 +158,7 @@ def generate_dataset(p: DatasetProfile, g: GeneratorParams | None = None,
     trials: list[TrialRecording] = []
     entries: list[ManifestEntry] = []
     for subject in range(p.n_subjects):
-        for zone in range(1, p.zones + 1):
+        for zone in range(1, N_ZONES + 1):
             label = zone_to_risk(zone)
             for idx in range(p.trials_per_zone_per_subject):
                 duration = rng.uniform(p.duration_low_s, p.duration_high_s)
@@ -172,8 +166,7 @@ def generate_dataset(p: DatasetProfile, g: GeneratorParams | None = None,
                 channels = rng.normal(0.0, g.noise_sd, size=(N_CHANNELS, n_frames))
                 _add_lift_events(channels, rng, g, label.index, fs, duration,
                                  subject_gain[subject], subject_offset[subject])
-                trials.append(TrialRecording(subject_id=subject, zone=zone, trial_index=idx,
-                                             channels=channels, sample_rate_hz=fs))
+                trials.append(TrialRecording(channels))
                 entries.append(ManifestEntry(
                     trial_file=f"trials/trial_{subject}_{zone}_{idx}.csv",
                     subject_id=subject, zone=zone, trial_index=idx, frame_count=n_frames))
@@ -311,8 +304,10 @@ def _load_trial(path: Path, entry: ManifestEntry) -> TrialRecording:
     values = _parse_plain_trial(text)
     if values is None:
         values = _parse_validated_trial(path, text)
-    return TrialRecording(subject_id=entry.subject_id, zone=entry.zone,
-                          trial_index=entry.trial_index, channels=values.T)
+    if len(values) != entry.frame_count:
+        raise MalformedRowError(f"{path}: manifest frame_count is {entry.frame_count}, "
+                                f"the file has {len(values)} data rows", path=str(path))
+    return TrialRecording(values.T)
 
 
 def _parse_plain_trial(text: str) -> np.ndarray | None:

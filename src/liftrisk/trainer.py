@@ -21,6 +21,9 @@ EVAL_BATCH = 128
 # elements per Adam block: a block's parameter, gradient, moments and scratch
 # stay in cache through all of the update's passes
 ADAM_BLOCK = 32768
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
 
 
 @dataclass
@@ -33,9 +36,6 @@ class TrainConfig:
     patience: int = 10
     min_delta: float = 0.0
     max_epochs: int = 500
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     seed: int = 42
 
     def __post_init__(self):
@@ -93,10 +93,10 @@ def adam_step(params: list[np.ndarray], grads: list[np.ndarray],
     as in a whole-array update, so the result is the same bit for bit.
     """
     state.t += 1
-    b1, b2 = config.beta1, config.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     bc1 = 1.0 - b1 ** state.t
     bc2 = 1.0 - b2 ** state.t
-    lr, eps = config.learning_rate, config.epsilon
+    lr, eps = config.learning_rate, ADAM_EPSILON
     for p, g, m, v in zip(params, grads, state.m, state.v):
         rows = max(1, ADAM_BLOCK // p[0].size)
         # scratch: g's terms in g's dtype, the step and its denominator in

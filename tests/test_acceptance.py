@@ -18,7 +18,7 @@ import pytest
 
 from liftrisk import cli, metrics, pipeline, saliency, signals, synthdata, trainer
 from liftrisk.config import load_config
-from liftrisk.imaging import ChannelMatrix, unwrap_image, wrap_image
+from liftrisk.imaging import unwrap_image, wrap_image
 from liftrisk.metrics import ConfusionMatrix, rk
 from liftrisk.nncore import (AvgPool, BatchNorm, Conv2D, Dense, Flatten, MaxPool, Model,
                              SoftmaxOutput, build_preset, conv2d_batch)
@@ -328,9 +328,9 @@ def test_criterion_5_encoding_and_shapes():
     for width in (55, 95):
         for _ in range(50):
             frames = int(rng.integers(5, 300))
-            m = ChannelMatrix(rng.normal(size=(12, frames, 3)))
+            m = rng.normal(size=(12, frames, 3))
             img = wrap_image(m, width=width)
-            assert np.array_equal(unwrap_image(img).values, m.values)
+            assert np.array_equal(unwrap_image(img), m)
 
     model = build_preset("vgg_b_avg").build((95, 95, 3), seed=0)
     heights = []
@@ -460,7 +460,7 @@ def test_criterion_10_saliency(bench_run, prepared):
     rng = np.random.default_rng(SEED)
 
     # linear model: saliency equals the class weight row exactly
-    img = wrap_image(ChannelMatrix(rng.normal(size=(12, 30, 3))), width=20)
+    img = wrap_image(rng.normal(size=(12, 30, 3)), width=20)
     h, w, _ = img.pixels.shape
     linear = Model([Flatten(), SoftmaxOutput(3)]).build((h, w, 3), seed=1)
     for c in range(3):
@@ -468,7 +468,7 @@ def test_criterion_10_saliency(bench_run, prepared):
         assert np.array_equal(smap.w, linear.layers[-1].w[:, c].reshape(h, w, 3))
 
     # finite-difference agreement on a small nonlinear model
-    small_img = wrap_image(ChannelMatrix(rng.normal(size=(12, 16, 3))), width=16)
+    small_img = wrap_image(rng.normal(size=(12, 16, 3)), width=16)
     model = build_preset("vgg_b_avg", conv_filters=(4, 4, 8), dense_units=8,
                          dropout_rate=0.25).build((12, 16, 3), seed=2)
     for p in model.params():

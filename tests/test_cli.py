@@ -2,6 +2,7 @@
 
 import shutil
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from liftrisk import cli, pipeline, synthdata
 from liftrisk.config import load_config, parse_config_lines
 from liftrisk.errors import ConfigError
+from liftrisk.nncore import load_checkpoint, save_checkpoint
 
 
 def run(args):
@@ -91,11 +93,9 @@ class TestTrain:
         assert rc == cli.EXIT_CONFIG
         assert "foo" in capsys.readouterr().err
 
-    def test_bad_training_bound_exit_2(self, tiny_dataset_dir, tmp_path, capsys):
-        from tests.conftest import TINY_CONFIG
-
+    def test_bad_training_bound_exit_2(self, tiny_dataset_dir, tiny_config, tmp_path, capsys):
         bad = tmp_path / "bad.txt"
-        bad.write_text("\n".join(TINY_CONFIG.to_lines()).replace("batch_size = 8",
+        bad.write_text("\n".join(tiny_config.to_lines()).replace("batch_size = 8",
                                                                   "batch_size = 0") + "\n")
         rc = run(["train", "--data", str(tiny_dataset_dir), "--config", str(bad),
                   "--out", str(tmp_path / "m.ckpt")])
@@ -135,13 +135,11 @@ class TestTrain:
         assert rc == cli.EXIT_DATA
         assert victim.name in capsys.readouterr().err
 
-    def test_absurd_learning_rate_diverges_exit_4(self, tiny_dataset_dir, tmp_path, capsys):
+    def test_absurd_learning_rate_diverges_exit_4(self, tiny_dataset_dir, tiny_config, tmp_path,
+                                                   capsys):
         # float32 overflows to inf under a 1e30 learning rate; the loop must
         # abort with the diverged exit code, not loop on NaN
-        from dataclasses import replace
-        from tests.conftest import TINY_CONFIG
-
-        cfg = replace(TINY_CONFIG, learning_rate=1e30, max_epochs=3)
+        cfg = replace(tiny_config, learning_rate=1e30, max_epochs=3)
         cfg_path = tmp_path / "hot.txt"
         cfg_path.write_text("\n".join(cfg.to_lines()) + "\n")
         with np.errstate(invalid="ignore", over="ignore"), warnings.catch_warnings():
@@ -162,14 +160,13 @@ class TestEval:
         data_rows = lambda text: [l for l in text.splitlines() if not l.startswith("#")]
         assert data_rows(train_metrics) == data_rows(eval_metrics)
 
-    def test_width_mismatch_exit_5(self, trained, tiny_dataset_dir, tmp_path, capsys):
-        from tests.conftest import TINY_CONFIG
-        from dataclasses import replace
+    def test_width_mismatch_exit_5(self, trained, tiny_dataset_dir, tiny_config, tmp_path,
+                                   capsys):
         # the checkpoint holds (45, 16, 3): 12 * 60 frames wrapped at width 16
         for override, shape in [({"image_width": 20}, (36, 20, 3)),
                                 ({"target_frames": 80}, (60, 16, 3))]:
             path = tmp_path / "override.txt"
-            path.write_text("\n".join(replace(TINY_CONFIG, **override).to_lines()) + "\n")
+            path.write_text("\n".join(replace(tiny_config, **override).to_lines()) + "\n")
             rc = run(["eval", "--model", str(trained), "--data", str(tiny_dataset_dir),
                       "--config", str(path)])
             assert rc == cli.EXIT_MISMATCH
@@ -207,10 +204,101 @@ class TestEval:
         err = capsys.readouterr().err
         assert "v9.ckpt" in err and "version 9" in err and "Traceback" not in err
 
-    def test_missing_checkpoint_is_error(self, tiny_dataset_dir, tmp_path):
-        with pytest.raises(FileNotFoundError):
-            run(["eval", "--model", str(tmp_path / "none.ckpt"),
-                 "--data", str(tiny_dataset_dir)])
+    def test_missing_checkpoint_is_error(self, tiny_dataset_dir, tmp_path, capsys):
+        rc = run(["eval", "--model", str(tmp_path / "none.ckpt"), "--data", str(tiny_dataset_dir)])
+        assert rc == cli.EXIT_MISMATCH
+        assert "none.ckpt" in capsys.readouterr().err
+
+
+def _spec_line(old, new):
+    """A copy of the trained checkpoint with one layer spec line rewritten."""
+    def spoil(trained, dataset, config, tmp_path):
+        bad = tmp_path / "bad.ckpt"
+        blob = trained.read_bytes()
+        assert f"\n{old}\n".encode() in blob
+        bad.write_bytes(blob.replace(f"\n{old}\n".encode(), f"\n{new}\n".encode(), 1))
+        return {"--model": bad}
+    return spoil
+
+
+def _scaler(edit):
+    """A copy of the trained checkpoint saved with edit(scaler_params) as its
+    scaler tensor, or with none when edit returns None."""
+    def spoil(trained, dataset, config, tmp_path):
+        model, lines, extra = load_checkpoint(trained)
+        params = edit(extra["scaler_params"])
+        bad = tmp_path / "bad.ckpt"
+        save_checkpoint(bad, model, lines, None if params is None else {"scaler_params": params})
+        return {"--model": bad}
+    return spoil
+
+
+def _config(**override):
+    """The tiny config with `override`, read before a dataset that does not
+    exist: exit 2 rather than 3 shows that no trial file was read."""
+    def spoil(trained, dataset, config, tmp_path):
+        lines = [line for line in config.to_lines() if line.split(" = ")[0] not in override]
+        path = tmp_path / "bad.txt"
+        path.write_text("\n".join(lines + [f"{k} = {v}" for k, v in override.items()]) + "\n")
+        return {"--config": path, "--data": tmp_path / "unread"}
+    return spoil
+
+
+def _cut_trial(rows):
+    """A copy of the dataset whose first trial file keeps `rows` data rows,
+    cut at a line boundary."""
+    def spoil(trained, dataset, config, tmp_path):
+        copy = tmp_path / "cut"
+        shutil.copytree(dataset, copy)
+        victim = copy / synthdata.load_manifest(copy).entries[0].trial_file
+        lines = victim.read_text().splitlines(keepends=True)
+        victim.write_text("".join(lines[: rows + 1]))
+        return {"--data": copy}
+    return spoil
+
+
+class TestBadInputs:
+    """Bad checkpoints, config values and trial files, one row each: the
+    command, how its input is spoiled, the exit code and what the message
+    must name."""
+
+    @pytest.mark.parametrize("command, spoil, code, named", [
+        ("eval", lambda *a: {"--model": a[3] / "absent.ckpt"}, cli.EXIT_MISMATCH,
+         ["absent.ckpt"]),
+        ("eval", _spec_line("conv2d filters=4", "conv3d filters=4"), cli.EXIT_MISMATCH,
+         ["bad.ckpt", "conv3d filters=4"]),
+        ("eval", _spec_line("conv2d filters=4", "conv2d filtrs=4"), cli.EXIT_MISMATCH,
+         ["bad.ckpt", "conv2d filtrs=4"]),
+        ("eval", _scaler(lambda p: None), cli.EXIT_MISMATCH,
+         ["bad.ckpt", "extra.scaler_params"]),
+        ("eval", _scaler(lambda p: p[:35]), cli.EXIT_MISMATCH,
+         ["bad.ckpt", "extra.scaler_params", "(35, 2)"]),
+        ("train", _config(filter_order=0), cli.EXIT_CONFIG, ["filter_order"]),
+        ("train", _config(filter_low_hz=13.0), cli.EXIT_CONFIG, ["filter_low_hz"]),
+        ("train", _config(target_frames=0), cli.EXIT_CONFIG, ["target_frames"]),
+        ("train", _config(image_width=11), cli.EXIT_CONFIG, ["image_width"]),
+        ("train", _config(target_frames=4, image_width=16), cli.EXIT_CONFIG,
+         ["target_frames", "image_width", "(3, 16, 3)"]),
+        ("train", _cut_trial(9), cli.EXIT_DATA, ["trial_0_1_0.csv", "frame_count", "9 data rows"]),
+    ], ids=["missing-checkpoint", "unknown-layer", "misspelt-layer-key", "no-scaler",
+            "scaler-35x2", "filter-order", "band-edges", "target-frames", "image-width",
+            "pools", "cut-trial"])
+    def test_exit_code_names_the_input(self, trained, tiny_dataset_dir, tiny_config,
+                                       tiny_config_file, tmp_path, capsys,
+                                       command, spoil, code, named):
+        args = {"eval": {"--model": trained, "--data": tiny_dataset_dir},
+                "train": {"--data": tiny_dataset_dir, "--config": tiny_config_file,
+                          "--out": tmp_path / "out" / "m.ckpt"}}[command]
+        args.update(spoil(trained, tiny_dataset_dir, tiny_config, tmp_path))
+        argv = [command] + [str(v) for pair in args.items() for v in pair]
+        try:
+            rc = run(argv)
+        except Exception as exc:
+            pytest.fail(f"{type(exc).__name__} escaped cli.main: {exc}")
+        err = capsys.readouterr().err
+        assert rc == code, err
+        for name in named:
+            assert name in err
 
 
 class TestInputImmutability:
@@ -280,14 +368,12 @@ class TestReadsTestSplitOnly:
     """eval and saliency read the manifest and the test split's trial files only."""
 
     @staticmethod
-    def copy_without(dataset, tmp_path, split):
-        """A copy of the dataset with every trial file of `split` deleted;
-        returns the copy and the deleted files."""
-        from tests.conftest import TINY_CONFIG
-
+    def copy_without(dataset, config, tmp_path, split):
+        """A copy of the dataset with every trial file of `split` (as split
+        under `config`) deleted; returns the copy and the deleted files."""
         copy = tmp_path / f"no_{split}"
         shutil.copytree(dataset, copy)
-        manifest = pipeline.assign_split(synthdata.load_manifest(copy), TINY_CONFIG)
+        manifest = pipeline.assign_split(synthdata.load_manifest(copy), config)
         gone = [copy / e.trial_file for e in manifest.entries if e.split == split]
         for path in gone:
             path.unlink()
@@ -303,17 +389,17 @@ class TestReadsTestSplitOnly:
         return {p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*"))
                 if p.is_file()}
 
-    def test_train_split_files_unread(self, trained, tiny_dataset_dir, tmp_path):
-        pruned, gone = self.copy_without(tiny_dataset_dir, tmp_path, "train")
+    def test_train_split_files_unread(self, trained, tiny_dataset_dir, tiny_config, tmp_path):
+        pruned, gone = self.copy_without(tiny_dataset_dir, tiny_config, tmp_path, "train")
         assert gone
         full = self.outputs(trained, tiny_dataset_dir, tmp_path / "full")
         assert any(p.suffix == ".pgm" and "img" in p.name for p in full)
         assert self.outputs(trained, pruned, tmp_path / "pruned") == full
 
     @pytest.mark.parametrize("command", ["eval", "saliency"])
-    def test_missing_test_split_file_exit_3(self, trained, tiny_dataset_dir, tmp_path,
-                                            capsys, command):
-        pruned, gone = self.copy_without(tiny_dataset_dir, tmp_path, "test")
+    def test_missing_test_split_file_exit_3(self, trained, tiny_dataset_dir, tiny_config,
+                                            tmp_path, capsys, command):
+        pruned, gone = self.copy_without(tiny_dataset_dir, tiny_config, tmp_path, "test")
         extra = ["--class", "high", "--out", str(tmp_path / "sal")] if command == "saliency" else []
         argv = [command, "--model", str(trained), "--data", str(pruned), *extra]
         assert run(argv) == cli.EXIT_DATA
@@ -391,10 +477,9 @@ class TestTune:
 
 
 class TestConfigParsing:
-    def test_roundtrip(self):
-        from tests.conftest import TINY_CONFIG
-        parsed = parse_config_lines(TINY_CONFIG.to_lines())
-        assert parsed == TINY_CONFIG
+    def test_roundtrip(self, tiny_config):
+        parsed = parse_config_lines(tiny_config.to_lines())
+        assert parsed == tiny_config
 
     def test_unknown_key_named(self):
         with pytest.raises(ConfigError, match="bogus"):
@@ -418,7 +503,9 @@ class TestConfigParsing:
 
     @pytest.mark.parametrize("key, value", [("learning_rate", "0.0"), ("patience", "0"),
                                             ("batch_size", "0"), ("max_epochs", "0"),
-                                            ("l2_lambda", "-1e-3"), ("dropout_rate", "1.0")])
+                                            ("l2_lambda", "-1e-3"), ("dropout_rate", "1.0"),
+                                            ("filter_order", "0"), ("filter_low_hz", "13.0"),
+                                            ("target_frames", "0"), ("image_width", "11")])
     def test_training_bound_rejected(self, key, value):
         with pytest.raises(ConfigError, match=key):
             parse_config_lines([f"{key} = {value}"])

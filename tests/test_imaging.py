@@ -3,15 +3,12 @@
 import numpy as np
 import pytest
 
-from liftrisk import imaging
-from liftrisk.imaging import (ChannelMatrix, flatten_channel_matrix, to_channel_matrix,
-                              unwrap_attribution, unwrap_image, wrap_image)
+from liftrisk.imaging import to_channel_matrix, unwrap_attribution, unwrap_image, wrap_image
 from liftrisk.signals import TrialRecording
 
 
 def make_trial(channels):
-    return TrialRecording(subject_id=0, zone=1, trial_index=0,
-                          channels=np.asarray(channels, dtype=float))
+    return TrialRecording(np.asarray(channels, dtype=float))
 
 
 class TestToChannelMatrix:
@@ -24,46 +21,48 @@ class TestToChannelMatrix:
         m = to_channel_matrix(make_trial(channels))
         for s in range(12):
             for k in range(3):
-                assert np.all(m.values[s, :, k] == s + k / 10)
+                assert np.all(m[s, :, k] == s + k / 10)
 
     def test_shape_750(self):
         m = to_channel_matrix(make_trial(np.zeros((36, 750))))
-        assert m.values.shape == (12, 750, 3)
+        assert m.shape == (12, 750, 3)
 
     def test_roundtrip(self):
         rng = np.random.default_rng(0)
         channels = rng.normal(size=(36, 100))
         t = make_trial(channels)
-        assert np.array_equal(flatten_channel_matrix(to_channel_matrix(t)), channels)
+        # back to [36, frames]: channel 3s+k is axis k of sensor s
+        m = to_channel_matrix(t)
+        assert np.array_equal(m.transpose(0, 2, 1).reshape(36, 100), channels)
 
     def test_feature_accounting(self):
         # 12 sensor streams x 3 axes x 750 frames = 27,000 values per trial
         m = to_channel_matrix(make_trial(np.zeros((36, 750))))
-        assert m.values.size == 27_000
+        assert m.size == 27_000
 
 
 class TestWrapImage:
     def test_default_geometry(self):
-        m = ChannelMatrix(np.zeros((12, 750, 3)))
+        m = np.zeros((12, 750, 3))
         img = wrap_image(m, width=95)
         assert img.pixels.shape == (95, 95, 3)
         assert img.pad_start == 9000
         assert img.height * img.width - img.pad_start == 25
 
     def test_flat_index_example(self):
-        img = wrap_image(ChannelMatrix(np.zeros((12, 750, 3))), width=95)
+        img = wrap_image(np.zeros((12, 750, 3)), width=95)
         assert img.to_rowcol(sensor=5, frame=100) == (12, 65)
         assert img.to_sensor_frame(12, 65) == (5, 100)
 
     def test_desk_geometry(self):
-        m = ChannelMatrix(np.zeros((12, 250, 3)))
+        m = np.zeros((12, 250, 3))
         img = wrap_image(m, width=55)
         assert img.pixels.shape == (55, 55, 3)
         assert img.height * img.width - img.pad_start == 25
 
     def test_desk_geometry_by_exhaustive_enumeration(self):
         # every (sensor, frame) maps to a distinct in-range cell; the rest pad
-        img = wrap_image(ChannelMatrix(np.zeros((12, 250, 3))), width=55)
+        img = wrap_image(np.zeros((12, 250, 3)), width=55)
         seen = set()
         for t in range(250):
             for s in range(12):
@@ -79,7 +78,7 @@ class TestWrapImage:
 
     def test_padding_cells_are_zero(self):
         rng = np.random.default_rng(1)
-        m = ChannelMatrix(rng.normal(size=(12, 250, 3)) + 5.0)
+        m = rng.normal(size=(12, 250, 3)) + 5.0
         img = wrap_image(m, width=55)
         flat = img.pixels.reshape(-1, 3)
         assert np.all(flat[img.pad_start:] == 0.0)
@@ -87,7 +86,7 @@ class TestWrapImage:
 
     def test_time_locality(self):
         # adjacent frames sit 12 apart; one frame's sensors are contiguous
-        img = wrap_image(ChannelMatrix(np.zeros((12, 100, 3))), width=40)
+        img = wrap_image(np.zeros((12, 100, 3)), width=40)
         for t in range(50):
             k_t = t * 12
             k_next = (t + 1) * 12
@@ -98,7 +97,7 @@ class TestWrapImage:
 
     def test_rejects_narrow_width(self):
         with pytest.raises(ValueError):
-            wrap_image(ChannelMatrix(np.zeros((12, 10, 3))), width=11)
+            wrap_image(np.zeros((12, 10, 3)), width=11)
 
 
 class TestUnwrap:
@@ -107,20 +106,20 @@ class TestUnwrap:
         rng = np.random.default_rng(2)
         for _ in range(100):
             frames = int(rng.integers(5, 300))
-            m = ChannelMatrix(rng.normal(size=(12, frames, 3)))
+            m = rng.normal(size=(12, frames, 3))
             img = wrap_image(m, width=width)
             back = unwrap_image(img)
-            assert np.array_equal(back.values, m.values)
+            assert np.array_equal(back, m)
 
     def test_known_plane_roundtrip(self):
         rng = np.random.default_rng(3)
-        m = ChannelMatrix(rng.normal(size=(12, 80, 3)))
+        m = rng.normal(size=(12, 80, 3))
         img = wrap_image(m, width=30)
         plane0 = unwrap_attribution(img.pixels[:, :, 0], img)
-        assert np.array_equal(plane0, m.values[:, :, 0].reshape(12, 80))
+        assert np.array_equal(plane0, m[:, :, 0].reshape(12, 80))
 
     def test_all_ones_routing(self):
-        img = wrap_image(ChannelMatrix(np.zeros((12, 750, 3))), width=95)
+        img = wrap_image(np.zeros((12, 750, 3)), width=95)
         a = np.ones((95, 95))
         routed = unwrap_attribution(a, img)
         assert routed.shape == (12, 750)
@@ -128,7 +127,7 @@ class TestUnwrap:
         assert routed.sum() == 9000  # padded tail contributed nothing
 
     def test_single_cell_routing(self):
-        img = wrap_image(ChannelMatrix(np.zeros((12, 750, 3))), width=95)
+        img = wrap_image(np.zeros((12, 750, 3)), width=95)
         a = np.zeros((95, 95))
         a[12, 65] = 1.0
         routed = unwrap_attribution(a, img)
@@ -136,37 +135,7 @@ class TestUnwrap:
         assert nz.tolist() == [[5, 100]]
 
     def test_shape_mismatch_rejected(self):
-        img = wrap_image(ChannelMatrix(np.zeros((12, 100, 3))), width=40)
+        img = wrap_image(np.zeros((12, 100, 3)), width=40)
         with pytest.raises(ValueError):
             unwrap_attribution(np.zeros((10, 10)), img)
 
-
-class TestPpmExport:
-    def test_header_and_size(self, tmp_path):
-        rng = np.random.default_rng(4)
-        img = wrap_image(ChannelMatrix(rng.normal(size=(12, 250, 3))), width=55)
-        path = tmp_path / "img.ppm"
-        imaging.export_ppm(img, path)
-        blob = path.read_bytes()
-        assert blob.startswith(b"P6\n55 55\n255\n")
-        assert len(blob) == len(b"P6\n55 55\n255\n") + 55 * 55 * 3
-
-    def test_constant_image_midpoint(self, tmp_path):
-        img = wrap_image(ChannelMatrix(np.zeros((12, 20, 3))), width=20)
-        path = tmp_path / "flat.ppm"
-        imaging.export_ppm(img, path)
-        payload = path.read_bytes().split(b"255\n", 1)[1]
-        assert set(payload) == {128}
-
-    def test_affine_mapping(self, tmp_path):
-        values = np.zeros((12, 20, 3))
-        values[0, 0, 0] = 2.0  # max
-        values[0, 1, 0] = -2.0  # min
-        img = wrap_image(ChannelMatrix(values), width=20)
-        path = tmp_path / "scaled.ppm"
-        imaging.export_ppm(img, path)
-        payload = path.read_bytes().split(b"255\n", 1)[1]
-        arr = np.frombuffer(payload, dtype=np.uint8).reshape(12, 20, 3)
-        assert arr[0, 0, 0] == 255
-        assert arr[0, 0, 1] == 128  # zero maps to midpoint
-        assert arr.min() == 0

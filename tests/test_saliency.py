@@ -4,7 +4,7 @@ agreement on nonlinear ones, and the routing back to sensors."""
 import numpy as np
 import pytest
 
-from liftrisk.imaging import ChannelMatrix, wrap_image
+from liftrisk.imaging import wrap_image
 from liftrisk.nncore import Dense, Dropout, Flatten, Model, SoftmaxOutput, build_preset
 from liftrisk.saliency import (class_score_gradient, export_saliency, mean_magnitude,
                                sensor_attribution, write_attribution_csv)
@@ -12,7 +12,7 @@ from liftrisk.saliency import (class_score_gradient, export_saliency, mean_magni
 
 def encoded_image(rng=None, frames=30, width=20):
     values = rng.normal(size=(12, frames, 3)) if rng is not None else np.zeros((12, frames, 3))
-    return wrap_image(ChannelMatrix(values), width=width)
+    return wrap_image(values, width=width)
 
 
 class TestClassScoreGradient:
@@ -32,7 +32,7 @@ class TestClassScoreGradient:
         h, w, _ = img.pixels.shape
         model = Model([Flatten(), SoftmaxOutput(3)]).build((h, w, 3), seed=2)
         s1 = class_score_gradient(model, img, 1)
-        shifted = wrap_image(ChannelMatrix(np.full((12, 30, 3), 0.7)), width=20)
+        shifted = wrap_image(np.full((12, 30, 3), 0.7), width=20)
         shifted.pixels[:] = img.pixels + 3.0
         s2 = class_score_gradient(model, shifted, 1)
         assert np.array_equal(s1.w, s2.w)

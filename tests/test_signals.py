@@ -12,13 +12,12 @@ from liftrisk.signals import (BandpassFilter, ChannelScaler, TrialRecording, app
                               frequency_response, pad_or_truncate)
 
 
-def make_trial(channels, zone=1, subject=0, index=0):
-    return TrialRecording(subject_id=subject, zone=zone, trial_index=index,
-                          channels=np.asarray(channels, dtype=float))
+def make_trial(channels):
+    return TrialRecording(np.asarray(channels, dtype=float))
 
 
-def random_trial(rng, frames=40, zone=1):
-    return make_trial(rng.normal(size=(36, frames)), zone=zone)
+def random_trial(rng, frames=40):
+    return make_trial(rng.normal(size=(36, frames)))
 
 
 def naive_difference_equation(x, f: BandpassFilter):
@@ -171,7 +170,6 @@ class TestPadOrTruncate:
         assert p.n_frames == 750
         assert np.array_equal(p.channels[:, :300], t.channels)
         assert np.all(p.channels[:, 300:] == 0.0)
-        assert p.frame_count == 300
 
     def test_identity_at_target(self):
         rng = np.random.default_rng(9)
@@ -261,11 +259,3 @@ class TestTrialRecording:
     def test_rejects_wrong_channel_count(self):
         with pytest.raises(ValueError):
             make_trial(np.zeros((35, 10)))
-
-    def test_rejects_bad_zone(self):
-        with pytest.raises(ValueError):
-            make_trial(np.zeros((36, 10)), zone=13)
-
-    def test_frame_count_defaults_to_length(self):
-        t = make_trial(np.zeros((36, 17)))
-        assert t.frame_count == 17

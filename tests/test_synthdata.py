@@ -17,7 +17,7 @@ from liftrisk.synthdata import (DatasetProfile, Manifest, ManifestEntry,
                                 split_dataset, zone_to_risk)
 
 SMALL = DatasetProfile(n_subjects=2, trials_per_zone_per_subject=1,
-                       duration_low_s=2.0, duration_high_s=3.0, max_seconds=3.0, seed=5)
+                       duration_low_s=2.0, duration_high_s=3.0, seed=5)
 
 
 class TestZoneToRisk:
@@ -29,7 +29,6 @@ class TestZoneToRisk:
     def test_mapping(self, zone, expected):
         label = zone_to_risk(zone)
         assert label.value == expected
-        assert label.source_zone == zone
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
@@ -49,8 +48,8 @@ class TestGenerate:
         trials, manifest = generate_dataset(profile)
         assert len(trials) == 720
         counts = {"low": 0, "medium": 0, "high": 0}
-        for t in trials:
-            counts[zone_to_risk(t.zone).value] += 1
+        for e in manifest.entries:
+            counts[zone_to_risk(e.zone).value] += 1
         assert counts == {"low": 120, "medium": 240, "high": 360}
         assert profile.class_counts() == counts
 
@@ -75,13 +74,13 @@ class TestGenerate:
             assert 2.0 * 25 - 1 <= t.n_frames <= 3.0 * 25 + 1
 
     def test_band_energy_strictly_ordered_by_class(self):
-        trials, _ = generate_dataset(DatasetProfile(n_subjects=4, seed=42))
+        trials, manifest = generate_dataset(DatasetProfile(n_subjects=4, seed=42))
         f = signals.design_bandpass(2, 2, 12, 25)
         back = [3 * s + k for s in synthdata.BACK_SENSORS for k in range(3)]
         energy = {"low": [], "medium": [], "high": []}
-        for t in trials:
+        for t, e in zip(trials, manifest.entries):
             y = signals.filter_trial(t, f)
-            energy[zone_to_risk(t.zone).value].append(float(np.mean(y.channels[back] ** 2)))
+            energy[zone_to_risk(e.zone).value].append(float(np.mean(y.channels[back] ** 2)))
         lo, mid, hi = (np.mean(energy[c]) for c in ("low", "medium", "high"))
         # strict ordering with margin, not just strict
         assert lo * 1.5 < mid
@@ -137,9 +136,9 @@ class TestSaveLoad:
         save_dataset(tmp_path, trials, manifest)
         loaded, loaded_manifest = load_dataset(tmp_path)
         assert loaded_manifest == manifest
-        for a, b in zip(trials, loaded):
+        for a, b, ea, eb in zip(trials, loaded, manifest.entries, loaded_manifest.entries):
             assert np.max(np.abs(a.channels - b.channels)) < 1e-12
-            assert (a.subject_id, a.zone, a.trial_index) == (b.subject_id, b.zone, b.trial_index)
+            assert (ea.subject_id, ea.zone, ea.trial_index) == (eb.subject_id, eb.zone, eb.trial_index)
 
     def test_roundtrip_is_exact(self, tmp_path):
         # repr round-trips doubles exactly, so the files lose nothing
@@ -168,6 +167,18 @@ class TestSaveLoad:
             load_dataset(tmp_path)
         assert err.value.line == 6
         assert str(victim) in str(err.value)
+
+    def test_rows_must_match_manifest_frame_count(self, tmp_path):
+        # a file cut at a line boundary parses, but is shorter than its entry
+        trials, manifest = generate_dataset(SMALL)
+        save_dataset(tmp_path, trials, manifest)
+        victim = tmp_path / manifest.entries[2].trial_file
+        victim.write_text("".join(victim.read_text().splitlines(keepends=True)[:10]))
+        with pytest.raises(MalformedRowError) as err:
+            load_dataset(tmp_path)
+        message = str(err.value)
+        assert str(victim) in message and "9 data rows" in message
+        assert f"frame_count is {manifest.entries[2].frame_count}" in message
 
     def test_missing_channel_column_in_header(self, tmp_path):
         trials, manifest = generate_dataset(SMALL)

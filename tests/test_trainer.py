@@ -10,8 +10,8 @@ import pytest
 from liftrisk import trainer
 from liftrisk.errors import TrainingDivergedError
 from liftrisk.nncore import Dense, Dropout, Flatten, Model, SoftmaxOutput
-from liftrisk.trainer import (ADAM_BLOCK, AdamState, EarlyStopper, TrainConfig, adam_step,
-                              loss, predict, train)
+from liftrisk.trainer import (ADAM_BETA1, ADAM_BETA2, ADAM_BLOCK, ADAM_EPSILON, AdamState,
+                              EarlyStopper, TrainConfig, adam_step, loss, predict, train)
 
 
 def scalar_adam_reference(grad_fn, theta0, alpha, steps, b1=0.9, b2=0.999, eps=1e-8):
@@ -29,13 +29,13 @@ def scalar_adam_reference(grad_fn, theta0, alpha, steps, b1=0.9, b2=0.999, eps=1
 
 def whole_array_adam(p, g, m, v, t, config):
     """The update as one expression per array, on fresh temporaries."""
-    b1, b2 = config.beta1, config.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     m *= b1
     m += (1.0 - b1) * g
     v *= b2
     v += (1.0 - b2) * np.square(g)
     p -= config.learning_rate * (m / (1.0 - b1 ** t)) / (np.sqrt(v / (1.0 - b2 ** t))
-                                                         + config.epsilon)
+                                                         + ADAM_EPSILON)
 
 
 class TestLoss:

@@ -15,15 +15,18 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from . import hypertune, metrics, pipeline, saliency, synthdata, trainer
+from . import hypertune, metrics, pipeline, saliency, signals, synthdata, trainer
 from .config import PipelineConfig, desk_config, load_config, parse_kv_lines
 from .errors import (CheckpointMismatchError, ConfigError, DataError,
                      TrainingDivergedError)
+from .fileio import lines_text, write_file
 
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_DIVERGED = 4
 EXIT_MISMATCH = 5
+_EXIT_CODES = {ConfigError: EXIT_CONFIG, DataError: EXIT_DATA,
+               TrainingDivergedError: EXIT_DIVERGED, CheckpointMismatchError: EXIT_MISMATCH}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -70,28 +73,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except TrainingDivergedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DIVERGED
-    except CheckpointMismatchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MISMATCH
-
-
-def _load_cli_config(path: str | None, fallback: PipelineConfig | None = None) -> PipelineConfig:
-    if path is None:
-        return fallback if fallback is not None else PipelineConfig()
-    return load_config(path)
+        return next(code for cls, code in _EXIT_CODES.items() if isinstance(exc, cls))
 
 
 def cmd_synth(args) -> int:
@@ -106,9 +93,8 @@ def cmd_synth(args) -> int:
         config = PipelineConfig(seed=args.seed)
     trials, manifest = synthdata.generate_dataset(profile)
     synthdata.save_dataset(out, trials, manifest)
-    (out / "pipeline_config.txt").write_text(
-        f"# generated by liftrisk synth --profile {args.profile} --seed {args.seed}\n"
-        + "\n".join(config.to_lines()) + "\n")
+    generated = f"generated by liftrisk synth --profile {args.profile} --seed {args.seed}"
+    write_file(out / "pipeline_config.txt", lines_text(config.to_lines(), [generated]))
     counts = profile.class_counts()
     print(f"wrote {len(trials)} trials to {out} "
           f"(low={counts['low']}, medium={counts['medium']}, high={counts['high']})")
@@ -120,18 +106,17 @@ def _comment_header(config: PipelineConfig) -> list[str]:
 
 
 def cmd_train(args) -> int:
-    config = _load_cli_config(args.config)
+    config = PipelineConfig() if args.config is None else load_config(args.config)
     trials, manifest = synthdata.load_dataset(args.data)
     result = pipeline.run_training(trials, manifest, config)
 
     ckpt = Path(args.out)
-    ckpt.parent.mkdir(parents=True, exist_ok=True)
     pipeline.save_trained(ckpt, result, config)
     stem = ckpt.parent / ckpt.stem
     comments = _comment_header(config)
     trainer.write_history_csv(f"{stem}_history.csv", result.history, comments)
     metrics.write_report_csv(f"{stem}_metrics.csv", result.cm, comments)
-    pipeline.write_manifest_csv(f"{stem}_manifest.csv", result.data.manifest, comments)
+    synthdata.write_manifest(f"{stem}_manifest.csv", result.data.manifest, comments, end="\n")
 
     acc = metrics.accuracy(result.cm)
     rk_value = float(metrics.rk(result.cm))
@@ -144,13 +129,11 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     model, ckpt_config, scaler = pipeline.load_trained(args.model)
-    config = _load_cli_config(args.config, fallback=ckpt_config)
+    config = ckpt_config if args.config is None else load_config(args.config)
     trials, manifest, _ = pipeline.load_test_split(args.data, config)
     cm, _ = pipeline.evaluate_checkpoint(model, config, scaler, trials, manifest)
     if args.out:
-        out = Path(args.out)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        metrics.write_report_csv(out, cm, _comment_header(config))
+        metrics.write_report_csv(args.out, cm, _comment_header(config))
     acc = metrics.accuracy(cm)
     rk_value = float(metrics.rk(cm))
     print(f"test accuracy {acc:.4f}, R_K {rk_value:.4f}")
@@ -168,7 +151,6 @@ def cmd_saliency(args) -> int:
     outputs = pipeline.saliency_for_class(model, data, args.class_name, args.data)
 
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     saliency.export_saliency(outputs.mean_magnitude,
                              out / f"saliency_{args.class_name}_mean.pgm")
     for i, smap in zip(outputs.image_indices, outputs.per_image):  # named by manifest row
@@ -176,7 +158,7 @@ def cmd_saliency(args) -> int:
                                  out / f"saliency_{args.class_name}_img{positions[i]:04d}.pgm")
     saliency.write_attribution_csv(out / f"attribution_{args.class_name}.csv",
                                    outputs.attribution, _comment_header(config))
-    top = [outputs.attribution.sensor_names[s] for s in outputs.attribution.ranking[:4]]
+    top = [signals.SENSOR_NAMES[s] for s in outputs.attribution.ranking[:4]]
     print(f"wrote {len(outputs.per_image)} per-image maps + mean map to {out}")
     print(f"top sensors for {args.class_name}: {', '.join(top)}")
     return 0
@@ -190,33 +172,36 @@ _GRID_PARSERS = {
 }
 
 
-def load_grid(path, base: trainer.TrainConfig) -> hypertune.GridSpec:
+def load_grid(path, config: PipelineConfig) -> hypertune.GridSpec:
+    """The grid of the file at `path` over `config`, with every cell's
+    config checked."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise ConfigError(f"cannot read grid file {path}: {exc}") from exc
     values = parse_kv_lines(text.splitlines(), _GRID_PARSERS, source=str(path))
     try:
-        return hypertune.GridSpec(base=base, **values)
-    except ValueError as exc:
+        grid = hypertune.GridSpec(base=pipeline.train_config_of(config), **values)
+        for cell in grid.cells():
+            _cell_config(config, cell)
+    except (ValueError, ConfigError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
+    return grid
+
+
+def _cell_config(config: PipelineConfig, cell: hypertune.TuneCell) -> PipelineConfig:
+    return replace(config, l2_lambda=cell.l2_lambda, learning_rate=cell.learning_rate,
+                   dropout_rate=cell.dropout_rate, seed=cell.seed)
 
 
 def cmd_tune(args) -> int:
-    config = _load_cli_config(args.config)
-    grid = load_grid(args.grid, pipeline.train_config_of(config))
-
-    def cell_config(cell: hypertune.TuneCell) -> PipelineConfig:
-        return replace(config, l2_lambda=cell.l2_lambda, learning_rate=cell.learning_rate,
-                       dropout_rate=cell.dropout_rate, seed=cell.seed)
-
-    for cell in grid.cells():  # every grid value is checked before the data loads
-        cell_config(cell)
+    config = PipelineConfig() if args.config is None else load_config(args.config)
+    grid = load_grid(args.grid, config)  # every grid value is checked before the data loads
     trials, manifest = synthdata.load_dataset(args.data)
     data = pipeline.prepare(trials, manifest, config)
 
     def builder(cell: hypertune.TuneCell):
-        return pipeline.build_model(cell_config(cell), data.images.shape[1:])
+        return pipeline.build_model(_cell_config(config, cell), data.images.shape[1:])
 
     results = hypertune.grid_search(
         grid,
@@ -225,7 +210,6 @@ def cmd_tune(args) -> int:
         builder)
 
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     hypertune.write_results_csv(out, results, _comment_header(config))
     for i, cell in enumerate(results):
         if cell.history is not None:

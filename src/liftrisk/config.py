@@ -15,13 +15,10 @@ import numpy as np
 
 from .errors import ConfigError
 from .imaging import image_shape
-from .nncore import PRESET_NAMES, AvgPool, MaxPool, build_preset, pool_shape
+from .nncore import AvgPool, MaxPool, Model, build_preset, pool_shape
 from .signals import SAMPLE_RATE_HZ, SCALER_MODES, check_band
+from .synthdata import RISK_CLASSES
 from .trainer import TrainConfig
-
-
-def _parse_int_tuple(v: str) -> tuple[int, ...]:
-    return tuple(int(x.strip()) for x in v.split(","))
 
 
 @dataclass
@@ -47,47 +44,47 @@ class PipelineConfig:
     dtype: str = "float64"
 
     def __post_init__(self):
+        """Hold every value to the bounds of the functions that use it,
+        before any data is read.  An unbuilt preset holds no arrays."""
         if self.scaler_mode not in SCALER_MODES:
             raise ConfigError(f"scaler_mode must be one of {SCALER_MODES}, got {self.scaler_mode!r}")
-        if self.model_preset not in PRESET_NAMES:
-            raise ConfigError(f"model_preset must be one of {PRESET_NAMES}, got {self.model_preset!r}")
         if self.dtype not in ("float32", "float64"):
             raise ConfigError(f"dtype must be float32 or float64, got {self.dtype!r}")
-        if len(self.conv_filters) != 3:
-            raise ConfigError(f"conv_filters needs exactly 3 values, got {self.conv_filters}")
         if not 0.0 < self.train_fraction < 1.0:
             raise ConfigError("train_fraction must be in (0, 1)")
-        if self.l2_lambda < 0:
-            raise ConfigError("l2_lambda must be >= 0")
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ConfigError("dropout_rate must be in [0, 1)")
         try:
             train_config_of(self)  # TrainConfig checks the training-loop bounds
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        self._check_geometry()
-
-    def _check_geometry(self) -> None:
-        """Hold the bandpass, the image wrap and the preset's pools to the
-        bounds of the functions that use them, before any data is read.  An
-        unbuilt preset holds no arrays."""
         band = (self.filter_order, self.filter_low_hz, self.filter_high_hz)
         try:
             check_band(*band, SAMPLE_RATE_HZ)
         except ValueError as exc:
             raise ConfigError(f"filter_order, filter_low_hz, filter_high_hz = {band}: {exc}") from exc
+        try:
+            layers = self.preset().layers
+        except ValueError as exc:
+            model = (self.model_preset, self.conv_filters, self.dense_units, self.dropout_rate,
+                     self.l2_lambda)
+            raise ConfigError(f"model_preset, conv_filters, dense_units, dropout_rate, l2_lambda "
+                              f"= {model}: {exc}") from exc
         size = f"target_frames = {self.target_frames}, image_width = {self.image_width}"
         try:
             shape = pooled = image_shape(self.target_frames, self.image_width)
         except ValueError as exc:
             raise ConfigError(f"{size}: {exc}") from exc
         try:
-            for layer in build_preset(self.model_preset).layers:
+            for layer in layers:
                 if isinstance(layer, (AvgPool, MaxPool)):
                     pooled = pool_shape(pooled)
         except ValueError as exc:
             raise ConfigError(f"{size} give image shape {shape}, too small for the pools "
                               f"of {self.model_preset}: {exc}") from exc
+
+    def preset(self) -> Model:
+        """The unbuilt model; its layers hold the bounds of their sizes, rate and L2 weight."""
+        return build_preset(self.model_preset, len(RISK_CLASSES), self.conv_filters,
+                            self.dense_units, self.dropout_rate, self.l2_lambda)
 
     @property
     def np_dtype(self):
@@ -116,13 +113,13 @@ def train_config_of(config: PipelineConfig) -> TrainConfig:
 
 
 def parse_config_lines(lines, source: str = "<config>") -> PipelineConfig:
-    # each key parses as the type of its default; the one tuple is of ints
-    parsers = {f.name: _parse_int_tuple if isinstance(f.default, tuple) else type(f.default)
-               for f in fields(PipelineConfig)}
+    # each key parses as the type of its default, but for the one tuple, of ints
+    parsers = {f.name: type(f.default) for f in fields(PipelineConfig)}
+    parsers["conv_filters"] = lambda v: tuple(int(x) for x in v.split(","))
     values = parse_kv_lines(lines, parsers, source)
     try:
         return PipelineConfig(**values)
-    except (ValueError, TypeError) as exc:
+    except (ConfigError, ValueError, TypeError) as exc:
         raise ConfigError(f"{source}: {exc}") from exc
 
 

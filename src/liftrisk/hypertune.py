@@ -17,6 +17,7 @@ import numpy as np
 
 from . import metrics, trainer
 from .errors import TrainingDivergedError
+from .fileio import lines_text, write_file
 from .nncore import Model
 
 CELL_SEED_STRIDE = 10007
@@ -97,16 +98,11 @@ def ranked(results: list[TuneCell]) -> list[TuneCell]:
     return sorted(ok, key=lambda c: (-c.rk, c.final_loss))
 
 
-def write_results_csv(path, results: list[TuneCell], comments: list[str] | None = None) -> None:
+def write_results_csv(path, results: list[TuneCell], comments=()) -> None:
     order = ranked(results)
     rank_of = {id(c): r + 1 for r, c in enumerate(order)}
-    with open(path, "w", newline="") as fh:
-        for line in comments or []:
-            fh.write(f"# {line}\n")
-        fh.write("l2_lambda,learning_rate,dropout_rate,repeat,seed,rk,accuracy,"
-                 "final_loss,epochs_run,failed,rank\n")
-        for c in results:
-            rank = rank_of.get(id(c), "")
-            fh.write(f"{c.l2_lambda!r},{c.learning_rate!r},{c.dropout_rate!r},"
-                     f"{c.repeat},{c.seed},{c.rk!r},{c.accuracy!r},{c.final_loss!r},"
-                     f"{c.epochs_run},{c.failed},{rank}\n")
+    rows = [f"{c.l2_lambda!r},{c.learning_rate!r},{c.dropout_rate!r},{c.repeat},{c.seed},"
+            f"{c.rk!r},{c.accuracy!r},{c.final_loss!r},{c.epochs_run},{c.failed},"
+            f"{rank_of.get(id(c), '')}" for c in results]
+    write_file(path, lines_text(["l2_lambda,learning_rate,dropout_rate,repeat,seed,rk,accuracy,"
+                                 "final_loss,epochs_run,failed,rank", *rows], comments))

@@ -8,6 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fileio import lines_text, write_file
+
 DEFAULT_CLASS_NAMES = ("low", "medium", "high")
 
 
@@ -145,11 +147,7 @@ def report_rows(c: ConfusionMatrix) -> list[tuple[str, str, float]]:
     return rows
 
 
-def write_report_csv(path, c: ConfusionMatrix, comments: list[str] | None = None) -> None:
+def write_report_csv(path, c: ConfusionMatrix, comments=()) -> None:
     """Per-class precision/recall/F-measure plus accuracy and R_K summary rows."""
-    with open(path, "w", newline="") as fh:
-        for line in comments or []:
-            fh.write(f"# {line}\n")
-        fh.write("metric,class,value\n")
-        for name, cls, value in report_rows(c):
-            fh.write(f"{name},{cls},{value!r}\n")
+    rows = [f"{name},{cls},{value!r}" for name, cls, value in report_rows(c)]
+    write_file(path, lines_text(["metric,class,value", *rows], comments))

@@ -12,11 +12,13 @@ from __future__ import annotations
 
 import io
 import math
+import re
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .errors import CheckpointMismatchError
+from .fileio import write_file
 
 BN_MOMENTUM = 0.9
 BN_EPSILON = 1e-5
@@ -114,6 +116,8 @@ class Conv2D(Layer):
     """3x3 same-padding stride-1 convolution with ReLU."""
 
     def __init__(self, filters: int):
+        if filters < 1:
+            raise ValueError(f"filters must be >= 1, got {filters}")
         self.filters = filters
         self.w = None
         self.b = None
@@ -255,6 +259,8 @@ class Dense(Layer):
     def __init__(self, units: int, activation: str = "none"):
         if activation not in ("relu", "none"):
             raise ValueError(f"unknown activation {activation!r}")
+        if units < 1:
+            raise ValueError(f"units must be >= 1, got {units}")
         self.units = units
         self.activation = activation
         self.w = None
@@ -356,8 +362,8 @@ class SoftmaxOutput(Layer):
     """
 
     def __init__(self, classes: int, l2_lambda: float = 0.0):
-        if l2_lambda < 0:
-            raise ValueError("l2_lambda must be >= 0")
+        if not 0 <= l2_lambda < math.inf:
+            raise ValueError(f"l2_lambda must be finite and >= 0, got {l2_lambda}")
         self.classes = classes
         self.l2_lambda = l2_lambda
         self.w = None
@@ -601,8 +607,7 @@ def save_checkpoint(path, model: Model, config_lines: list[str],
         dims = " ".join(str(d) for d in arr64.shape)
         buf.write(f"tensor {name} {arr64.ndim} {dims}\n".encode())
         buf.write(arr64.tobytes())
-    with open(path, "wb") as fh:
-        fh.write(buf.getvalue())
+    write_file(path, buf.getvalue())
 
 
 def _tensor_names(layer: Layer) -> list[str]:
@@ -623,12 +628,11 @@ def _layer_tensors(model: Model) -> list[tuple[str, np.ndarray]]:
 def load_checkpoint(path) -> tuple[Model, list[str], dict[str, np.ndarray]]:
     """Rebuild the model from the layer spec and fill its tensors in order.
 
-    A missing or unreadable file, one that does not start with the magic
-    line, one of another version, one cut short anywhere after it, a layer
-    spec line this build cannot read, or a tensor whose name or shape
-    disagrees with the layer spec raises CheckpointMismatchError naming the
-    file.
-    """
+    A file that is missing, unreadable, not a checkpoint, of another version
+    or cut short, a header line that is not the field it should be, a layer
+    spec this build cannot read, or a tensor whose name or shape is not the
+    spec's or with a value not finite in the model's dtype raises
+    CheckpointMismatchError naming the file (and the line, for a header)."""
     try:
         with open(path, "rb") as fh:
             blob = fh.read()
@@ -636,43 +640,56 @@ def load_checkpoint(path) -> tuple[Model, list[str], dict[str, np.ndarray]]:
         raise CheckpointMismatchError(f"{path}: cannot read checkpoint: {exc.strerror}") from exc
     if not blob.startswith(CHECKPOINT_MAGIC + b"\n"):
         raise CheckpointMismatchError(f"{path}: not a checkpoint (bad magic)")
-    pos = len(CHECKPOINT_MAGIC) + 1
+    pos, lineno = len(CHECKPOINT_MAGIC) + 1, 1
 
     def truncated() -> CheckpointMismatchError:
         return CheckpointMismatchError(f"{path}: checkpoint is truncated at byte {len(blob)}")
 
     def read_line() -> str:
-        nonlocal pos
+        nonlocal pos, lineno
         end = blob.find(b"\n", pos)
         if end < 0:
             raise truncated()
-        line = blob[pos:end].decode()
-        pos = end + 1
-        return line
+        line, pos, lineno = blob[pos:end], end + 1, lineno + 1
+        return line.decode(errors="replace")  # no field, spec or config value takes U+FFFD
+
+    def read_field(key: str, value: str = r"\d+") -> re.Match:
+        """The next line, which must be `key`, a space, then `value`."""
+        line = read_line()
+        match = re.fullmatch(f"{key} ({value})", line)
+        if match is None:
+            raise CheckpointMismatchError(f"{path}:{lineno}: expected a {key!r} line, got {line!r}")
+        return match
 
     def read_header() -> tuple[str, tuple[int, ...]]:
-        header = read_line().split()
-        return header[1], tuple(int(v) for v in header[3: 3 + int(header[2])])
+        header = read_field("tensor", r"(\S+) (\d+)((?: \d+)*) ?")
+        shape = tuple(int(v) for v in header[4].split())
+        if len(shape) != int(header[3]):
+            raise CheckpointMismatchError(f"{path}:{lineno}: tensor {header[2]} lists "
+                                          f"{len(shape)} dimensions, not {header[3]}")
+        return header[2], shape
 
-    def read_payload(shape: tuple[int, ...]) -> np.ndarray:
+    def read_payload(name: str, shape: tuple[int, ...], dtype) -> np.ndarray:
         nonlocal pos
         count = math.prod(shape)
         if pos + 8 * count > len(blob):
             raise truncated()
         arr = np.frombuffer(blob, dtype="<f8", count=count, offset=pos).reshape(shape)
         pos += 8 * count
+        # every value must be finite in dtype: checked before the cast, which warns
+        if not (np.abs(arr) <= np.finfo(dtype).max).all():
+            raise CheckpointMismatchError(f"{path}: tensor {name} holds a value that is not "
+                                          f"finite in {np.dtype(dtype).name}")
         return arr
 
-    version = int(read_line().split()[1])
+    version = int(read_field("version")[1])
     if version != CHECKPOINT_VERSION:
         raise CheckpointMismatchError(f"{path}: unsupported checkpoint version {version} "
                                       f"(this build reads version {CHECKPOINT_VERSION})")
-    n_config = int(read_line().split()[1])
-    config_lines = [read_line() for _ in range(n_config)]
-    n_layers = int(read_line().split()[1])
-    spec = [read_line() for _ in range(n_layers)]
-    input_shape = tuple(int(v) for v in read_line().split()[1:])
-    dtype = np.dtype(read_line().split()[1])
+    config_lines = [read_line() for _ in range(int(read_field("config")[1]))]
+    spec = [read_line() for _ in range(int(read_field("layers")[1]))]
+    input_shape = tuple(int(v) for v in read_field("input_shape", r"\d+(?: \d+)*")[1].split())
+    dtype = np.dtype(read_field("dtype", "float32|float64")[1])
 
     try:
         model = model_from_spec_lines(spec).build(input_shape, seed=0, dtype=dtype)
@@ -680,18 +697,18 @@ def load_checkpoint(path) -> tuple[Model, list[str], dict[str, np.ndarray]]:
         raise CheckpointMismatchError(f"{path}: {exc}") from exc
     targets = _layer_tensors(model)
 
-    n_tensors = int(read_line().split()[1])
+    n_tensors = int(read_field("tensors")[1])
     for want, dst in targets:
         name, shape = read_header()
         if (name, shape) != (want, dst.shape):
             raise CheckpointMismatchError(
                 f"{path}: tensor {name} of shape {shape} does not match the layer "
                 f"spec's {want} of shape {dst.shape}")
-        dst[...] = read_payload(shape)
+        dst[...] = read_payload(name, shape, dtype)
     extra: dict[str, np.ndarray] = {}
     for _ in range(n_tensors - len(targets)):
         name, shape = read_header()
         if not name.startswith("extra."):
             raise CheckpointMismatchError(f"{path}: unexpected tensor {name} after the layer tensors")
-        extra[name[len("extra."):]] = read_payload(shape).copy()
+        extra[name[len("extra."):]] = read_payload(name, shape, np.float64).copy()
     return model, config_lines, extra

@@ -11,7 +11,7 @@ import numpy as np
 from . import imaging, metrics, saliency, signals, synthdata, trainer
 from .config import PipelineConfig, parse_config_lines, train_config_of
 from .errors import CheckpointMismatchError, DataError
-from .nncore import Model, build_preset, load_checkpoint, save_checkpoint
+from .nncore import Model, load_checkpoint, save_checkpoint
 from .synthdata import Manifest, RISK_CLASSES
 
 
@@ -77,12 +77,7 @@ def prepare(trials, manifest: Manifest, config: PipelineConfig,
 
 
 def build_model(config: PipelineConfig, input_shape: tuple) -> Model:
-    model = build_preset(config.model_preset, classes=len(RISK_CLASSES),
-                         conv_filters=config.conv_filters,
-                         dense_units=config.dense_units,
-                         dropout_rate=config.dropout_rate,
-                         l2_lambda=config.l2_lambda)
-    return model.build(input_shape, seed=config.seed, dtype=config.np_dtype)
+    return config.preset().build(input_shape, seed=config.seed, dtype=config.np_dtype)
 
 
 @dataclass
@@ -168,12 +163,3 @@ def saliency_for_class(model: Model, data: PreparedData, class_name: str,
     return SaliencyOutputs(mean_magnitude=mean_mag, per_image=maps,
                            attribution=attr, image_indices=idx)
 
-
-def write_manifest_csv(path, manifest: Manifest, comments: list[str] | None = None) -> None:
-    with open(path, "w", newline="") as fh:
-        for line in comments or []:
-            fh.write(f"# {line}\n")
-        fh.write(",".join(synthdata.MANIFEST_HEADER) + "\n")
-        for e in manifest.entries:
-            fh.write(f"{e.trial_file},{e.subject_id},{e.zone},{e.trial_index},"
-                     f"{e.frame_count},{e.split}\n")

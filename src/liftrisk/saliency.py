@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fileio import lines_text, write_file
 from .imaging import EncodedImage, unwrap_attribution
 from .nncore import Model
 from .signals import N_SENSORS, SENSOR_NAMES
@@ -30,7 +31,6 @@ class SensorAttribution:
     per_sensor: np.ndarray        # [12] summed magnitude over non-padded cells
     per_sensor_frame: np.ndarray  # [12, frames]
     ranking: list[int]            # sensor indices, descending total
-    sensor_names: tuple[str, ...] = SENSOR_NAMES
 
 
 def class_score_gradient(model: Model, img: EncodedImage, class_index: int) -> SaliencyMap:
@@ -67,17 +67,11 @@ def export_saliency(magnitude: np.ndarray, path) -> None:
     else:
         data = np.clip(np.rint((mag - lo) / (hi - lo) * 255.0), 0, 255).astype(np.uint8)
     h, w = mag.shape
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
-        fh.write(data.tobytes())
+    write_file(path, f"P5\n{w} {h}\n255\n".encode("ascii") + data.tobytes())
 
 
-def write_attribution_csv(path, attr: SensorAttribution, comments: list[str] | None = None) -> None:
+def write_attribution_csv(path, attr: SensorAttribution, comments=()) -> None:
     """Sensor name, total attribution and rank (1 = most important)."""
     rank_of = {s: r + 1 for r, s in enumerate(attr.ranking)}
-    with open(path, "w", newline="") as fh:
-        for line in comments or []:
-            fh.write(f"# {line}\n")
-        fh.write("sensor,total,rank\n")
-        for s in range(N_SENSORS):
-            fh.write(f"{attr.sensor_names[s]},{float(attr.per_sensor[s])!r},{rank_of[s]}\n")
+    rows = [f"{SENSOR_NAMES[s]},{float(attr.per_sensor[s])!r},{rank_of[s]}" for s in range(N_SENSORS)]
+    write_file(path, lines_text(["sensor,total,rank", *rows], comments))

@@ -86,11 +86,11 @@ def check_band(order: int, low_hz: float, high_hz: float, sample_rate_hz: float)
     """Raise ValueError unless design_bandpass can design this band."""
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
-    if low_hz <= 0 or high_hz <= 0:
-        raise ValueError("band edges must be positive")
+    if not (0 < low_hz < math.inf and 0 < high_hz < math.inf):  # false for NaN too
+        raise ValueError(f"band edges must be finite and positive, got {low_hz}, {high_hz}")
     if low_hz >= high_hz:
         raise ValueError(f"low_hz must be < high_hz, got {low_hz} >= {high_hz}")
-    if sample_rate_hz <= 2 * low_hz:
+    if not sample_rate_hz > 2 * low_hz:
         raise ValueError(f"sample_rate_hz {sample_rate_hz} must exceed 2*low_hz")
 
 

@@ -14,12 +14,13 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ChannelCountMismatchError, DataError, MalformedRowError, MissingTrialFileError
+from .fileio import lines_text, write_file
 from .signals import N_AXES, N_CHANNELS, N_SENSORS, SAMPLE_RATE_HZ, TrialRecording
 
 RISK_CLASSES = ("low", "medium", "high")
@@ -223,24 +224,22 @@ MANIFEST_HEADER = ["trial_file", "subject_id", "zone", "trial_index", "frame_cou
 
 def save_dataset(directory, trials: list[TrialRecording], manifest: Manifest) -> None:
     directory = Path(directory)
-    (directory / "trials").mkdir(parents=True, exist_ok=True)
     if len(trials) != len(manifest.entries):
         raise ValueError("trial list and manifest lengths differ")
-    with open(directory / "manifest.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(MANIFEST_HEADER)
-        for e in manifest.entries:
-            w.writerow([e.trial_file, e.subject_id, e.zone, e.trial_index, e.frame_count, e.split])
-    header = ",".join(TRIAL_HEADER) + "\r\n"
+    write_manifest(directory / "manifest.csv", manifest)
     for trial, entry in zip(trials, manifest.entries):
-        path = directory / entry.trial_file
-        path.parent.mkdir(parents=True, exist_ok=True)
         frames = np.asarray(trial.channels, dtype=np.float64).T.tolist()
         # the bytes csv.writer writes: repr of each value, "\r\n" line ends
-        rows = (f"{frame}," + ",".join(map(repr, values)) + "\r\n"
-                for frame, values in enumerate(frames))
-        with open(path, "w", newline="") as fh:
-            fh.write(header + "".join(rows))
+        rows = (f"{frame}," + ",".join(map(repr, values)) for frame, values in enumerate(frames))
+        write_file(directory / entry.trial_file,
+                   lines_text([",".join(TRIAL_HEADER), *rows], end="\r\n"))
+
+
+def write_manifest(path, manifest: Manifest, comments=(), end: str = "\r\n") -> None:
+    """A '#' line per comment, MANIFEST_HEADER, a csv-quoted row per entry; each ends in `end`."""
+    rows = io.StringIO()
+    csv.writer(rows, lineterminator=end).writerows([MANIFEST_HEADER, *map(astuple, manifest.entries)])
+    write_file(path, lines_text((), comments, end) + rows.getvalue())
 
 
 def _csv_rows(fh):

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import TrainingDivergedError
+from .fileio import lines_text, write_file
 from .nncore import Model
 
 LOG_CLAMP = 1e-12
@@ -39,14 +40,18 @@ class TrainConfig:
     seed: int = 42
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be > 0")
+        if not 0 < self.learning_rate < np.inf:
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
+        if not 0 <= self.min_delta < np.inf:
+            raise ValueError(f"min_delta must be finite and >= 0, got {self.min_delta}")
         if self.patience < 1:
             raise ValueError("patience must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.max_epochs < 1:
             raise ValueError("max_epochs must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -244,14 +249,11 @@ def predict(model: Model, images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return probs.argmax(axis=1), probs
 
 
-def write_history_csv(path, history: TrainHistory, comments: list[str] | None = None) -> None:
-    """History as CSV (epoch, loss, accuracy) with optional '#' header lines."""
-    with open(path, "w", newline="") as fh:
-        for line in comments or []:
-            fh.write(f"# {line}\n")
-        fh.write("epoch,loss,accuracy\n")
-        for i, (lv, av) in enumerate(zip(history.losses, history.accuracies), start=1):
-            fh.write(f"{i},{lv!r},{av!r}\n")
-        fh.write(f"# best_epoch,{history.best_epoch}\n")
-        fh.write(f"# stopped_epoch,{history.stopped_epoch}\n")
-        fh.write(f"# restored_from_epoch,{history.restored_from_epoch}\n")
+def write_history_csv(path, history: TrainHistory, comments=()) -> None:
+    """History as CSV (epoch, loss, accuracy) between optional '#' header
+    lines and '#' trailer lines of the best, stopped and restored epochs."""
+    rows = [f"{i},{lv!r},{av!r}"
+            for i, (lv, av) in enumerate(zip(history.losses, history.accuracies), start=1)]
+    trailer = [f"# {k},{getattr(history, k)}"
+               for k in ("best_epoch", "stopped_epoch", "restored_from_epoch")]
+    write_file(path, lines_text(["epoch,loss,accuracy", *rows, *trailer], comments))

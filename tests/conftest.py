@@ -1,7 +1,13 @@
 import pytest
+from hypothesis import settings
 
 from liftrisk import synthdata
 from liftrisk.config import PipelineConfig
+
+# every property draws the same examples on every run, with no per-example
+# deadline, so neither chance nor the machine's speed can fail it
+settings.register_profile("liftrisk", derandomize=True, deadline=None, max_examples=400)
+settings.load_profile("liftrisk")
 
 
 @pytest.fixture(scope="session")
@@ -20,7 +26,7 @@ TINY_CONFIG = PipelineConfig(target_frames=60, image_width=16, conv_filters=(4, 
                              dtype="float32", seed=7)
 
 
-@pytest.fixture()
+@pytest.fixture(scope="session")
 def tiny_config():
     return TINY_CONFIG
 

@@ -502,8 +502,8 @@ def test_criterion_10_saliency(bench_run, prepared):
         : data.encoded[outputs.image_indices[0]].pad_start].sum()
     assert routed_total == pytest.approx(direct_total, rel=1e-12)
 
-    top4 = [attr.sensor_names[s] for s in attr.ranking[:4]]
-    emphasized = {attr.sensor_names[s]
+    top4 = [signals.SENSOR_NAMES[s] for s in attr.ranking[:4]]
+    emphasized = {signals.SENSOR_NAMES[s]
                   for s in synthdata.BACK_SENSORS + synthdata.WRIST_SENSORS}
     hits = [name for name in top4 if name in emphasized]
     print(f"\nPASS criterion 10: linear saliency exact; finite-difference rel err "

@@ -2,14 +2,16 @@
 
 import shutil
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from liftrisk import cli, pipeline, synthdata
-from liftrisk.config import load_config, parse_config_lines
-from liftrisk.errors import ConfigError
+from liftrisk.config import PipelineConfig, load_config, parse_config_lines
+from liftrisk.errors import CheckpointMismatchError, ConfigError
 from liftrisk.nncore import load_checkpoint, save_checkpoint
 
 
@@ -233,6 +235,29 @@ def _scaler(edit):
     return spoil
 
 
+def _header(old: bytes, new: bytes):
+    """A copy of the trained checkpoint with one header line rewritten."""
+    def spoil(trained, dataset, config, tmp_path):
+        bad = tmp_path / "bad.ckpt"
+        blob = trained.read_bytes()
+        assert b"\n" + old + b"\n" in blob
+        bad.write_bytes(blob.replace(b"\n" + old + b"\n", b"\n" + new + b"\n", 1))
+        return {"--model": bad}
+    return spoil
+
+
+def _first_weight(value: float):
+    """A copy of the trained checkpoint whose first conv weight is `value`."""
+    def spoil(trained, dataset, config, tmp_path):
+        bad = tmp_path / "bad.ckpt"
+        blob = bytearray(trained.read_bytes())
+        at = blob.index(b"\ntensor layer00.w 4 3 3 3 4\n") + len(b"\ntensor layer00.w 4 3 3 3 4\n")
+        blob[at: at + 8] = np.float64(value).tobytes()
+        bad.write_bytes(bytes(blob))
+        return {"--model": bad}
+    return spoil
+
+
 def _config(**override):
     """The tiny config with `override`, read before a dataset that does not
     exist: exit 2 rather than 3 shows that no trial file was read."""
@@ -280,9 +305,29 @@ class TestBadInputs:
         ("train", _config(target_frames=4, image_width=16), cli.EXIT_CONFIG,
          ["target_frames", "image_width", "(3, 16, 3)"]),
         ("train", _cut_trial(9), cli.EXIT_DATA, ["trial_0_1_0.csv", "frame_count", "9 data rows"]),
+        ("eval", _header(b"version 1", b"version"), cli.EXIT_MISMATCH, ["bad.ckpt:2:", "version"]),
+        ("eval", _header(b"config 19", b"config x"), cli.EXIT_MISMATCH, ["bad.ckpt:3:", "config x"]),
+        ("eval", _header(b"dtype float32", b"dtype float36"), cli.EXIT_MISMATCH,
+         ["bad.ckpt:", "float36"]),
+        ("eval", _header(b"input_shape 45 16 3", b"input_shape 45 16 \xff"), cli.EXIT_MISMATCH,
+         ["bad.ckpt:", "input_shape"]),
+        ("eval", _header(b"tensor layer00.w 4 3 3 3 4", b"tensor layer00.w 4 3 3 3"),
+         cli.EXIT_MISMATCH, ["bad.ckpt:", "layer00.w"]),
+        ("eval", _first_weight(1e300), cli.EXIT_MISMATCH, ["bad.ckpt", "layer00.w", "float32"]),
+        ("eval", _first_weight(float("nan")), cli.EXIT_MISMATCH, ["bad.ckpt", "layer00.w"]),
+        ("train", _config(batch_size=0), cli.EXIT_CONFIG, ["bad.txt", "batch_size"]),
+        ("train", _config(learning_rate="nan"), cli.EXIT_CONFIG, ["bad.txt", "learning_rate"]),
+        ("train", _config(filter_low_hz="nan"), cli.EXIT_CONFIG, ["bad.txt", "filter_low_hz"]),
+        ("train", _config(dense_units=-1), cli.EXIT_CONFIG, ["bad.txt", "dense_units"]),
+        ("train", _config(conv_filters="-1,8,8"), cli.EXIT_CONFIG, ["bad.txt", "conv_filters"]),
+        ("train", _config(l2_lambda="inf"), cli.EXIT_CONFIG, ["bad.txt", "l2_lambda"]),
+        ("train", _config(min_delta="nan"), cli.EXIT_CONFIG, ["bad.txt", "min_delta"]),
+        ("train", _config(seed=-1), cli.EXIT_CONFIG, ["bad.txt", "seed"]),
     ], ids=["missing-checkpoint", "unknown-layer", "misspelt-layer-key", "no-scaler",
             "scaler-35x2", "filter-order", "band-edges", "target-frames", "image-width",
-            "pools", "cut-trial"])
+            "pools", "cut-trial", "bare-version", "config-count", "dtype", "non-utf8-header",
+            "tensor-dims", "weight-past-float32", "nan-weight", "batch-size", "learning-rate-nan",
+            "filter-low-nan", "dense-units", "conv-filters", "l2-inf", "min-delta-nan", "seed"])
     def test_exit_code_names_the_input(self, trained, tiny_dataset_dir, tiny_config,
                                        tiny_config_file, tmp_path, capsys,
                                        command, spoil, code, named):
@@ -299,6 +344,35 @@ class TestBadInputs:
         assert rc == code, err
         for name in named:
             assert name in err
+
+
+@pytest.fixture(scope="module")
+def saved_checkpoint(tiny_dataset_dir, tiny_config, tmp_path_factory):
+    """The bytes of a checkpoint `train` wrote, and a directory to spoil it in."""
+    out = tmp_path_factory.mktemp("spoiled")
+    config = out / "config.txt"
+    config.write_text("\n".join(tiny_config.to_lines()) + "\n")
+    assert run(["train", "--data", str(tiny_dataset_dir), "--config", str(config),
+                "--out", str(out / "model.ckpt")]) == 0
+    return (out / "model.ckpt").read_bytes(), out
+
+
+class TestCorruptCheckpoint:
+    @given(data=st.data())
+    def test_bit_flip_or_cut_loads_or_names_the_file(self, saved_checkpoint, data):
+        blob, out = saved_checkpoint
+        if data.draw(st.booleans(), label="flip"):
+            bit = data.draw(st.integers(0, 8 * len(blob) - 1), label="bit")
+            spoiled = bytearray(blob)
+            spoiled[bit // 8] ^= 1 << bit % 8
+        else:
+            spoiled = blob[: data.draw(st.integers(0, len(blob) - 1), label="length")]
+        path = out / "spoiled.ckpt"
+        path.write_bytes(bytes(spoiled))
+        try:
+            pipeline.load_trained(path)
+        except (CheckpointMismatchError, ConfigError) as exc:
+            assert str(path) in str(exc)
 
 
 class TestInputImmutability:
@@ -416,7 +490,7 @@ class TestReadsTestSplitOnly:
         manifest = synthdata.load_manifest(data)
         for i, entry in enumerate(manifest.entries):
             entry.split = rest if i else first
-        pipeline.write_manifest_csv(data / "manifest.csv", manifest)
+        synthdata.write_manifest(data / "manifest.csv", manifest)
         assert run(["eval", "--model", str(trained), "--data", str(data)]) == cli.EXIT_DATA
         assert message in capsys.readouterr().err
 
@@ -466,6 +540,18 @@ class TestTune:
         assert rc == cli.EXIT_CONFIG
         assert "dropout_rate" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line, key", [("lambdas = inf", "l2_lambda"),
+                                           ("alphas = nan", "learning_rate")])
+    def test_non_finite_grid_value_names_the_grid_file(self, tmp_path, tiny_config_file,
+                                                       capsys, line, key):
+        grid = tmp_path / "grid.txt"
+        grid.write_text(f"lambdas = 1e-5\nalphas = 1e-3\ndropouts = 0.0\n{line}\n")
+        rc = run(["tune", "--data", str(tmp_path / "nope"), "--grid", str(grid),
+                  "--config", str(tiny_config_file), "--out", str(tmp_path / "t.csv")])
+        assert rc == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "grid.txt" in err and key in err
+
     def test_unknown_grid_key_exit_2(self, tiny_dataset_dir, tiny_config_file,
                                      tmp_path, capsys):
         grid = tmp_path / "grid.txt"
@@ -509,3 +595,25 @@ class TestConfigParsing:
     def test_training_bound_rejected(self, key, value):
         with pytest.raises(ConfigError, match=key):
             parse_config_lines([f"{key} = {value}"])
+
+    @pytest.mark.parametrize("key, value", [("dense_units", "0"), ("conv_filters", "8,-1,8"),
+                                            ("conv_filters", "8,8"), ("l2_lambda", "nan"),
+                                            ("dropout_rate", "nan")])
+    def test_bad_layer_value_names_key_and_source(self, key, value):
+        with pytest.raises(ConfigError, match=key) as err:
+            parse_config_lines([f"{key} = {value}"], source="p.txt")
+        assert str(err.value).startswith("p.txt: ") and "pools" not in str(err.value)
+
+    @given(st.lists(st.one_of(
+        st.builds("{} = {}".format,
+                  st.one_of(st.sampled_from([f.name for f in fields(PipelineConfig)]), st.text()),
+                  st.one_of(st.sampled_from(["nan", "inf", "-inf", "0", "-1", "1e400", "-0.0",
+                                             "4,8,8", "0,8,8", "-1,8,8", "8,8", "mlp", "minmax",
+                                             "float32", "9" * 40]),
+                            st.integers().map(str), st.floats().map(repr), st.text())),
+        st.text()), max_size=6))
+    def test_any_text_parses_or_names_its_source(self, lines):
+        try:
+            parse_config_lines(lines, source="p.txt")
+        except ConfigError as exc:
+            assert "p.txt" in str(exc)

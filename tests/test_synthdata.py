@@ -238,8 +238,7 @@ class TestTrialFiles:
         assert _same_bits(fast, synthdata._parse_validated_trial(path, text))
         assert _same_bits(fast, trials[0].channels.T)
 
-    @settings(max_examples=400, deadline=None, derandomize=True,
-              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())
     def test_reader_agrees_with_validator(self, tmp_path, data):
         n_rows = data.draw(st.integers(1, 3))

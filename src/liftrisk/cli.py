@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from . import hypertune, metrics, pipeline, saliency, signals, synthdata, trainer
@@ -181,17 +180,12 @@ def load_grid(path, config: PipelineConfig) -> hypertune.GridSpec:
         raise ConfigError(f"cannot read grid file {path}: {exc}") from exc
     values = parse_kv_lines(text.splitlines(), _GRID_PARSERS, source=str(path))
     try:
-        grid = hypertune.GridSpec(base=pipeline.train_config_of(config), **values)
+        grid = hypertune.GridSpec(base=config, **values)
         for cell in grid.cells():
-            _cell_config(config, cell)
+            grid.config(cell)
     except (ValueError, ConfigError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     return grid
-
-
-def _cell_config(config: PipelineConfig, cell: hypertune.TuneCell) -> PipelineConfig:
-    return replace(config, l2_lambda=cell.l2_lambda, learning_rate=cell.learning_rate,
-                   dropout_rate=cell.dropout_rate, seed=cell.seed)
 
 
 def cmd_tune(args) -> int:
@@ -199,15 +193,7 @@ def cmd_tune(args) -> int:
     grid = load_grid(args.grid, config)  # every grid value is checked before the data loads
     trials, manifest = synthdata.load_dataset(args.data)
     data = pipeline.prepare(trials, manifest, config)
-
-    def builder(cell: hypertune.TuneCell):
-        return pipeline.build_model(_cell_config(config, cell), data.images.shape[1:])
-
-    results = hypertune.grid_search(
-        grid,
-        data.images[data.train_idx], data.labels[data.train_idx],
-        data.images[data.test_idx], data.labels[data.test_idx],
-        builder)
+    results = hypertune.grid_search(grid, data.images, data.labels, data.train_idx, data.test_idx)
 
     out = Path(args.out)
     hypertune.write_results_csv(out, results, _comment_header(config))

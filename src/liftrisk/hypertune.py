@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, replace
-from typing import Callable
 
 import numpy as np
 
-from . import metrics, trainer
+from . import metrics, pipeline, trainer
+from .config import PipelineConfig
 from .errors import TrainingDivergedError
 from .fileio import lines_text, write_file
-from .nncore import Model
 
 CELL_SEED_STRIDE = 10007
 
@@ -29,7 +28,7 @@ class GridSpec:
     alphas: tuple[float, ...] = (1e-2, 1e-3, 1e-4)
     dropouts: tuple[float, ...] = (0.0, 0.25, 0.5)
     repeats: int = 1
-    base: trainer.TrainConfig = field(default_factory=trainer.TrainConfig)
+    base: PipelineConfig = field(default_factory=PipelineConfig)
 
     def __post_init__(self):
         if not (self.lambdas and self.alphas and self.dropouts):
@@ -45,9 +44,10 @@ class GridSpec:
                          seed=self.base.seed + CELL_SEED_STRIDE * index + rep)
                 for index, (lam, alpha, drop, rep) in enumerate(combos)]
 
-    def train_config(self, cell: TuneCell) -> trainer.TrainConfig:
-        """The base config with the cell's learning rate and seed."""
-        return replace(self.base, learning_rate=cell.learning_rate, seed=cell.seed)
+    def config(self, cell: TuneCell) -> PipelineConfig:
+        """The base config with the cell's L2 weight, learning rate, dropout rate and seed."""
+        return replace(self.base, l2_lambda=cell.l2_lambda, learning_rate=cell.learning_rate,
+                       dropout_rate=cell.dropout_rate, seed=cell.seed)
 
 
 @dataclass
@@ -65,24 +65,19 @@ class TuneCell:
     history: trainer.TrainHistory | None = None
 
 
-def grid_search(grid: GridSpec,
-                train_images: np.ndarray, train_labels: np.ndarray,
-                test_images: np.ndarray, test_labels: np.ndarray,
-                model_builder: Callable[[TuneCell], Model],
-                classes: int = 3) -> list[TuneCell]:
-    """One model per cell on the shared split; results in grid order.  The
-    builder gives each cell's model its L2 weight, dropout rate and seed."""
+def grid_search(grid: GridSpec, images: np.ndarray, labels: np.ndarray,
+                train_rows: np.ndarray, test_rows: np.ndarray) -> list[TuneCell]:
+    """One model per cell, trained on `train_rows` of the images and scored
+    on `test_rows`; results in grid order."""
     results: list[TuneCell] = []
     for cell in grid.cells():
-        model = model_builder(cell)
         try:
-            history = trainer.train(model, train_images, train_labels, grid.train_config(cell))
+            model, history = pipeline.fit(grid.config(cell), images, labels, train_rows)
         except TrainingDivergedError:
             cell.failed = True
             results.append(cell)
             continue
-        preds, _ = trainer.predict(model, test_images)
-        cm = metrics.confusion(preds, test_labels, k=classes)
+        cm = pipeline.score(model, images, labels, test_rows)
         cell.rk = float(metrics.rk(cm))
         cell.accuracy = metrics.accuracy(cm)
         cell.final_loss = history.losses[history.best_epoch - 1]

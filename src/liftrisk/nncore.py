@@ -13,6 +13,7 @@ from __future__ import annotations
 import io
 import math
 import re
+from typing import Callable
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -293,9 +294,7 @@ class Dense(Layer):
 
 
 class BatchNorm(Layer):
-    def __init__(self, momentum: float = BN_MOMENTUM, epsilon: float = BN_EPSILON):
-        self.momentum = momentum
-        self.epsilon = epsilon
+    def __init__(self):
         self.gamma = None
         self.beta = None
         self.running_mean = None
@@ -321,14 +320,14 @@ class BatchNorm(Layer):
                 raise ValueError("train-mode batch normalization needs batch size >= 2")
             mean = x.mean(axis=0)
             var = x.var(axis=0)
-            inv_std = 1.0 / np.sqrt(var + self.epsilon)
+            inv_std = 1.0 / np.sqrt(var + BN_EPSILON)
             xhat = (x - mean) * inv_std
-            self.running_mean = (self.momentum * self.running_mean
-                                 + (1.0 - self.momentum) * mean).astype(x.dtype)
-            self.running_var = (self.momentum * self.running_var
-                                + (1.0 - self.momentum) * var).astype(x.dtype)
+            self.running_mean = (BN_MOMENTUM * self.running_mean
+                                 + (1.0 - BN_MOMENTUM) * mean).astype(x.dtype)
+            self.running_var = (BN_MOMENTUM * self.running_var
+                                + (1.0 - BN_MOMENTUM) * var).astype(x.dtype)
             return self.gamma * xhat + self.beta, ("train", xhat, inv_std)
-        inv_std = 1.0 / np.sqrt(self.running_var + self.epsilon)
+        inv_std = 1.0 / np.sqrt(self.running_var + BN_EPSILON)
         xhat = (x - self.running_mean) * inv_std
         return self.gamma * xhat + self.beta, ("infer", None, inv_std)
 
@@ -348,7 +347,7 @@ class BatchNorm(Layer):
         return dx, grads
 
     def spec_line(self):
-        return f"batchnorm momentum={self.momentum!r} epsilon={self.epsilon!r}"
+        return f"batchnorm momentum={BN_MOMENTUM!r} epsilon={BN_EPSILON!r}"
 
 
 class SoftmaxOutput(Layer):
@@ -517,12 +516,10 @@ class Model:
 PRESET_NAMES = ("vgg_b_avg", "vgg_b_max", "simple_cnn", "mlp")
 
 
-def build_preset(name: str, classes: int = 3,
-                 conv_filters: tuple[int, int, int] = (32, 64, 128),
-                 dense_units: int = 1024, dropout_rate: float = 0.25,
-                 l2_lambda: float = 1e-5) -> Model:
-    """Named model stacks; vgg_b_avg with the default sizes is the reference
-    configuration (conv 32/64/64/128/128, dense 1024, softmax 3)."""
+def build_preset(name: str, classes: int, conv_filters: tuple[int, int, int],
+                 dense_units: int, dropout_rate: float, l2_lambda: float) -> Model:
+    """Named model stacks; vgg_b_avg with PipelineConfig's default sizes is
+    the reference configuration (conv 32/64/64/128/128, dense 1024, softmax 3)."""
     f0, f1, f2 = conv_filters
     if name in ("vgg_b_avg", "vgg_b_max"):
         pool = AvgPool if name == "vgg_b_avg" else MaxPool
@@ -547,30 +544,6 @@ def build_preset(name: str, classes: int = 3,
     return Model(layers)
 
 
-_LAYER_PARSERS = {
-    "conv2d": lambda kw: Conv2D(int(kw["filters"])),
-    "avgpool": lambda kw: AvgPool(),
-    "maxpool": lambda kw: MaxPool(),
-    "dropout": lambda kw: Dropout(float(kw["rate"])),
-    "flatten": lambda kw: Flatten(),
-    "dense": lambda kw: Dense(int(kw["units"]), kw.get("activation", "none")),
-    "batchnorm": lambda kw: BatchNorm(float(kw.get("momentum", BN_MOMENTUM)),
-                                      float(kw.get("epsilon", BN_EPSILON))),
-    "softmax": lambda kw: SoftmaxOutput(int(kw["classes"]), float(kw.get("l2_lambda", 0.0))),
-}
-
-
-def model_from_spec_lines(lines: list[str]) -> Model:
-    layers = []
-    for line in lines:
-        try:
-            kind, *pairs = line.split()
-            layers.append(_LAYER_PARSERS[kind](dict(p.split("=", 1) for p in pairs)))
-        except (KeyError, ValueError) as exc:
-            raise ValueError(f"bad layer spec {line!r}: {exc!r}") from exc
-    return Model(layers)
-
-
 # ---------------------------------------------------------------------------
 # Checkpoint container
 
@@ -580,22 +553,16 @@ CHECKPOINT_VERSION = 1
 
 def save_checkpoint(path, model: Model, config_lines: list[str],
                     extra_tensors: dict[str, np.ndarray] | None = None) -> None:
-    """Container: magic, version, config text, layer spec text, then every
-    tensor as a shape header plus little-endian float64 payload.  The write
-    is deterministic, so identical models produce identical bytes."""
+    """Container: magic, version, config text, the model's lines (layer spec,
+    input shape, dtype), then every tensor as a shape header plus
+    little-endian float64 payload.  The write is deterministic, so identical
+    models produce identical bytes."""
     extra_tensors = extra_tensors or {}
     buf = io.BytesIO()
     buf.write(CHECKPOINT_MAGIC + b"\n")
     buf.write(f"version {CHECKPOINT_VERSION}\n".encode())
-    buf.write(f"config {len(config_lines)}\n".encode())
-    for line in config_lines:
+    for line in [f"config {len(config_lines)}", *config_lines, *_model_lines(model)]:
         buf.write((line + "\n").encode())
-    spec = model.spec_lines()
-    buf.write(f"layers {len(spec)}\n".encode())
-    for line in spec:
-        buf.write((line + "\n").encode())
-    buf.write(("input_shape " + " ".join(str(d) for d in model.input_shape) + "\n").encode())
-    buf.write(f"dtype {np.dtype(model.dtype).name}\n".encode())
 
     tensors = _layer_tensors(model)
     for name in sorted(extra_tensors):
@@ -608,6 +575,14 @@ def save_checkpoint(path, model: Model, config_lines: list[str],
         buf.write(f"tensor {name} {arr64.ndim} {dims}\n".encode())
         buf.write(arr64.tobytes())
     write_file(path, buf.getvalue())
+
+
+def _model_lines(model: Model) -> list[str]:
+    """The header lines that describe a built model: layer spec, input shape, dtype."""
+    spec = model.spec_lines()
+    return [f"layers {len(spec)}", *spec,
+            "input_shape " + " ".join(str(d) for d in model.input_shape),
+            f"dtype {np.dtype(model.dtype).name}"]
 
 
 def _tensor_names(layer: Layer) -> list[str]:
@@ -625,14 +600,17 @@ def _layer_tensors(model: Model) -> list[tuple[str, np.ndarray]]:
             for name, arr in zip(_tensor_names(layer), (*layer.params(), *layer.state()))]
 
 
-def load_checkpoint(path) -> tuple[Model, list[str], dict[str, np.ndarray]]:
-    """Rebuild the model from the layer spec and fill its tensors in order.
+def load_checkpoint(path, build_model: Callable[[list[str]], Model],
+                    ) -> tuple[Model, list[str], dict[str, np.ndarray]]:
+    """The model `build_model` builds from the file's config lines, filled
+    with the file's tensors in order.
 
     A file that is missing, unreadable, not a checkpoint, of another version
     or cut short, a header line that is not the field it should be, a layer
-    spec this build cannot read, or a tensor whose name or shape is not the
-    spec's or with a value not finite in the model's dtype raises
-    CheckpointMismatchError naming the file (and the line, for a header)."""
+    spec, input-shape or dtype line that is not the built model's, or a
+    tensor whose name or shape is not the model's or with a value not finite
+    in the model's dtype raises CheckpointMismatchError naming the file (and
+    the line, for a header)."""
     try:
         with open(path, "rb") as fh:
             blob = fh.read()
@@ -687,14 +665,12 @@ def load_checkpoint(path) -> tuple[Model, list[str], dict[str, np.ndarray]]:
         raise CheckpointMismatchError(f"{path}: unsupported checkpoint version {version} "
                                       f"(this build reads version {CHECKPOINT_VERSION})")
     config_lines = [read_line() for _ in range(int(read_field("config")[1]))]
-    spec = [read_line() for _ in range(int(read_field("layers")[1]))]
-    input_shape = tuple(int(v) for v in read_field("input_shape", r"\d+(?: \d+)*")[1].split())
-    dtype = np.dtype(read_field("dtype", "float32|float64")[1])
-
-    try:
-        model = model_from_spec_lines(spec).build(input_shape, seed=0, dtype=dtype)
-    except ValueError as exc:
-        raise CheckpointMismatchError(f"{path}: {exc}") from exc
+    model = build_model(config_lines)
+    for want in _model_lines(model):
+        line = read_line()
+        if line != want:
+            raise CheckpointMismatchError(f"{path}:{lineno}: {line!r} is not {want!r}, "
+                                          f"the line of the model its config builds")
     targets = _layer_tensors(model)
 
     n_tensors = int(read_field("tensors")[1])
@@ -702,9 +678,9 @@ def load_checkpoint(path) -> tuple[Model, list[str], dict[str, np.ndarray]]:
         name, shape = read_header()
         if (name, shape) != (want, dst.shape):
             raise CheckpointMismatchError(
-                f"{path}: tensor {name} of shape {shape} does not match the layer "
-                f"spec's {want} of shape {dst.shape}")
-        dst[...] = read_payload(name, shape, dtype)
+                f"{path}: tensor {name} of shape {shape} does not match the model's "
+                f"{want} of shape {dst.shape}")
+        dst[...] = read_payload(name, shape, model.dtype)
     extra: dict[str, np.ndarray] = {}
     for _ in range(n_tensors - len(targets)):
         name, shape = read_header()

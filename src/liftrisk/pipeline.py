@@ -80,6 +80,22 @@ def build_model(config: PipelineConfig, input_shape: tuple) -> Model:
     return config.preset().build(input_shape, seed=config.seed, dtype=config.np_dtype)
 
 
+# fit and score index the split inside the trainer calls, which convert it
+# to the model dtype: no caller holds the float64 copy of the rows meanwhile
+def fit(config: PipelineConfig, images: np.ndarray, labels: np.ndarray,
+        rows: np.ndarray) -> tuple[Model, trainer.TrainHistory]:
+    """The config's model, trained on `rows` of the images."""
+    model = build_model(config, images.shape[1:])
+    return model, trainer.train(model, images[rows], labels[rows], train_config_of(config))
+
+
+def score(model: Model, images: np.ndarray, labels: np.ndarray,
+          rows: np.ndarray) -> metrics.ConfusionMatrix:
+    """The confusion matrix of the model's predictions for `rows` of the images."""
+    preds, _ = trainer.predict(model, images[rows])
+    return metrics.confusion(preds, labels[rows], k=len(RISK_CLASSES), class_names=RISK_CLASSES)
+
+
 @dataclass
 class TrainResult:
     model: Model
@@ -90,12 +106,8 @@ class TrainResult:
 
 def run_training(trials, manifest: Manifest, config: PipelineConfig) -> TrainResult:
     data = prepare(trials, manifest, config)
-    model = build_model(config, data.images.shape[1:])
-    history = trainer.train(model, data.images[data.train_idx], data.labels[data.train_idx],
-                            train_config_of(config))
-    preds, _ = trainer.predict(model, data.images[data.test_idx])
-    cm = metrics.confusion(preds, data.labels[data.test_idx], k=len(RISK_CLASSES),
-                           class_names=RISK_CLASSES)
+    model, history = fit(config, data.images, data.labels, data.train_idx)
+    cm = score(model, data.images, data.labels, data.test_idx)
     return TrainResult(model=model, history=history, cm=cm, data=data)
 
 
@@ -105,8 +117,15 @@ def save_trained(path, result: TrainResult, config: PipelineConfig) -> None:
 
 
 def load_trained(path) -> tuple[Model, PipelineConfig, signals.ChannelScaler]:
-    model, config_lines, extra = load_checkpoint(path)
-    config = parse_config_lines(config_lines, source=f"{path}:config")
+    """The model the checkpoint's config builds, with the checkpoint's tensors."""
+    config = None
+
+    def build(lines: list[str]) -> Model:
+        nonlocal config
+        config = parse_config_lines(lines, source=f"{path}:config")
+        return build_model(config, imaging.image_shape(config.target_frames, config.image_width))
+
+    model, _, extra = load_checkpoint(path, build)
     params = extra.get("scaler_params")
     want = (signals.N_CHANNELS, 2)
     if params is None or params.shape != want:
@@ -133,10 +152,7 @@ def evaluate_checkpoint(model: Model, config: PipelineConfig,
     config when the manifest carries no split)."""
     check_geometry(model, config)
     data = prepare(trials, manifest, config, scaler=scaler)
-    preds, _ = trainer.predict(model, data.images[data.test_idx])
-    cm = metrics.confusion(preds, data.labels[data.test_idx], k=len(RISK_CLASSES),
-                           class_names=RISK_CLASSES)
-    return cm, data
+    return score(model, data.images, data.labels, data.test_idx), data
 
 
 @dataclass

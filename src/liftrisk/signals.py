@@ -264,15 +264,11 @@ class ChannelScaler:
     """
 
     mode: str
-    params: np.ndarray | None = None  # [36, 2]: (mean, sd) or (min, max)
+    params: np.ndarray  # [36, 2]: (mean, sd) or (min, max)
 
     def __post_init__(self):
         if self.mode not in SCALER_MODES:
             raise ValueError(f"unknown scaler mode {self.mode!r}")
-
-    @property
-    def fitted(self) -> bool:
-        return self.params is not None
 
 
 def fit_scaler(training_trials: list[TrialRecording], mode: str = "standardize") -> ChannelScaler:
@@ -289,8 +285,6 @@ def fit_scaler(training_trials: list[TrialRecording], mode: str = "standardize")
 
 
 def apply_scaler(t: TrialRecording, s: ChannelScaler) -> TrialRecording:
-    if not s.fitted:
-        raise ValueError("scaler has not been fitted")
     x = t.channels
     if s.mode == "standardize":
         mean = s.params[:, 0:1]

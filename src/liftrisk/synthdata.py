@@ -139,6 +139,9 @@ def _entry_problem(entry: ManifestEntry, seen: set[str]) -> str | None:
     """Why `entry` cannot join a manifest whose trial files are `seen`, or None."""
     if entry.trial_file in seen:
         return f"trial_file {entry.trial_file!r} is repeated"
+    # a reader skips a row whose first field starts with '#', and a bare CR or LF ends a row
+    if entry.trial_file.lstrip().startswith("#") or any(c in entry.trial_file for c in "\r\n"):
+        return f"trial_file {entry.trial_file!r} cannot be read back from a manifest"
     if not 1 <= entry.zone <= 12:
         return f"zone {entry.zone} is outside 1-12"
     if entry.split not in SPLIT_VALUES:

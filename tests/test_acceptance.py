@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from liftrisk import cli, metrics, pipeline, saliency, signals, synthdata, trainer
-from liftrisk.config import load_config
+from liftrisk.config import PipelineConfig, load_config
 from liftrisk.imaging import unwrap_image, wrap_image
 from liftrisk.metrics import ConfusionMatrix, rk
 from liftrisk.nncore import (AvgPool, BatchNorm, Conv2D, Dense, Flatten, MaxPool, Model,
@@ -161,7 +161,7 @@ def test_criterion_1_gradient_correctness():
 
     # end-to-end desk-scale stack, dropout 0, 100 sampled parameters;
     # params are randomized off the zero-bias kink first
-    model = build_preset("vgg_b_avg", conv_filters=(4, 8, 8), dense_units=16,
+    model = build_preset("vgg_b_avg", classes=3, conv_filters=(4, 8, 8), dense_units=16,
                          dropout_rate=0.0, l2_lambda=1e-3)
     model.build((15, 15, 3), seed=3, dtype=np.float64)
     for p in model.params():
@@ -332,7 +332,7 @@ def test_criterion_5_encoding_and_shapes():
             img = wrap_image(m, width=width)
             assert np.array_equal(unwrap_image(img), m)
 
-    model = build_preset("vgg_b_avg").build((95, 95, 3), seed=0)
+    model = PipelineConfig().preset().build((95, 95, 3), seed=0)
     heights = []
     for shape in model.output_shapes:
         if len(shape) == 3 and (not heights or shape[0] != heights[-1]):
@@ -469,8 +469,8 @@ def test_criterion_10_saliency(bench_run, prepared):
 
     # finite-difference agreement on a small nonlinear model
     small_img = wrap_image(rng.normal(size=(12, 16, 3)), width=16)
-    model = build_preset("vgg_b_avg", conv_filters=(4, 4, 8), dense_units=8,
-                         dropout_rate=0.25).build((12, 16, 3), seed=2)
+    model = build_preset("vgg_b_avg", classes=3, conv_filters=(4, 4, 8), dense_units=8,
+                         dropout_rate=0.25, l2_lambda=1e-5).build((12, 16, 3), seed=2)
     for p in model.params():
         p += rng.normal(scale=0.05, size=p.shape)
     smap = saliency.class_score_gradient(model, small_img, 1)

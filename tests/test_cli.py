@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from liftrisk import cli, pipeline, synthdata
 from liftrisk.config import PipelineConfig, load_config, parse_config_lines
 from liftrisk.errors import CheckpointMismatchError, ConfigError
-from liftrisk.nncore import load_checkpoint, save_checkpoint
+from liftrisk.nncore import save_checkpoint
 
 
 def run(args):
@@ -227,10 +227,11 @@ def _scaler(edit):
     """A copy of the trained checkpoint saved with edit(scaler_params) as its
     scaler tensor, or with none when edit returns None."""
     def spoil(trained, dataset, config, tmp_path):
-        model, lines, extra = load_checkpoint(trained)
-        params = edit(extra["scaler_params"])
+        model, config, scaler = pipeline.load_trained(trained)
+        params = edit(scaler.params)
         bad = tmp_path / "bad.ckpt"
-        save_checkpoint(bad, model, lines, None if params is None else {"scaler_params": params})
+        save_checkpoint(bad, model, config.to_lines(),
+                        None if params is None else {"scaler_params": params})
         return {"--model": bad}
     return spoil
 
@@ -315,6 +316,12 @@ class TestBadInputs:
          cli.EXIT_MISMATCH, ["bad.ckpt:", "layer00.w"]),
         ("eval", _first_weight(1e300), cli.EXIT_MISMATCH, ["bad.ckpt", "layer00.w", "float32"]),
         ("eval", _first_weight(float("nan")), cli.EXIT_MISMATCH, ["bad.ckpt", "layer00.w"]),
+        ("eval", _header(b"conv_filters = 4,8,8", b"#onv_filters = 4,8,8"), cli.EXIT_MISMATCH,
+         ["bad.ckpt:", "conv2d filters=4", "conv2d filters=32"]),
+        ("eval", _header(b"dense_units = 16", b"dense_units = 17"), cli.EXIT_MISMATCH,
+         ["bad.ckpt:", "dense units=16 activation=relu", "dense units=17 activation=relu"]),
+        ("eval", _spec_line("dropout rate=0.25", "dropout rate=0.35"), cli.EXIT_MISMATCH,
+         ["bad.ckpt:", "dropout rate=0.35", "dropout rate=0.25"]),
         ("train", _config(batch_size=0), cli.EXIT_CONFIG, ["bad.txt", "batch_size"]),
         ("train", _config(learning_rate="nan"), cli.EXIT_CONFIG, ["bad.txt", "learning_rate"]),
         ("train", _config(filter_low_hz="nan"), cli.EXIT_CONFIG, ["bad.txt", "filter_low_hz"]),
@@ -326,7 +333,8 @@ class TestBadInputs:
     ], ids=["missing-checkpoint", "unknown-layer", "misspelt-layer-key", "no-scaler",
             "scaler-35x2", "filter-order", "band-edges", "target-frames", "image-width",
             "pools", "cut-trial", "bare-version", "config-count", "dtype", "non-utf8-header",
-            "tensor-dims", "weight-past-float32", "nan-weight", "batch-size", "learning-rate-nan",
+            "tensor-dims", "weight-past-float32", "nan-weight", "config-comment-flip",
+            "config-dense-units", "spec-dropout-rate", "batch-size", "learning-rate-nan",
             "filter-low-nan", "dense-units", "conv-filters", "l2-inf", "min-delta-nan", "seed"])
     def test_exit_code_names_the_input(self, trained, tiny_dataset_dir, tiny_config,
                                        tiny_config_file, tmp_path, capsys,
@@ -420,7 +428,9 @@ class TestManifestRows:
         (0, None, "is repeated"),        # line 2's trial_file again
         (2, "13", "zone 13 is outside 1-12"),
         (5, "dev", "split 'dev' is not one of"),
-    ], ids=["repeated-trial-file", "zone", "split"])
+        (0, '"a\rb.csv"', "cannot be read back"),   # quoted, so the csv reader keeps it
+        (0, '"a\nb.csv"', "cannot be read back"),
+    ], ids=["repeated-trial-file", "zone", "split", "trial-file-cr", "trial-file-lf"])
     def test_bad_row_exit_3(self, tiny_dataset_dir, tiny_config_file, tmp_path, capsys,
                             field, value, message):
         data = tmp_path / "data"

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from liftrisk import trainer
+from liftrisk import pipeline, trainer
+from liftrisk.config import PipelineConfig, train_config_of
 from liftrisk.hypertune import GridSpec, TuneCell, grid_search, ranked, write_results_csv
-from liftrisk.nncore import Dense, Dropout, Flatten, Model, SoftmaxOutput
 
 
 def make_data(rng, n=24, dim=10):
@@ -14,14 +14,9 @@ def make_data(rng, n=24, dim=10):
     return images, labels
 
 
-def builder_for(dim=10):
-    def build(cell: TuneCell) -> Model:
-        return Model([Flatten(), Dense(8, activation="relu"), Dropout(cell.dropout_rate),
-                      SoftmaxOutput(3, l2_lambda=cell.l2_lambda)]).build((dim,), seed=cell.seed)
-    return build
-
-
-BASE = trainer.TrainConfig(batch_size=8, max_epochs=4, patience=4, seed=11)
+# Flatten, Dense(8, relu), Dropout(cell rate), SoftmaxOutput(3, cell L2) on 10 features
+BASE = PipelineConfig(model_preset="mlp", dense_units=8, batch_size=8, max_epochs=4,
+                      patience=4, seed=11)
 
 
 class TestGridSpec:
@@ -53,14 +48,14 @@ class TestGridSearch:
         tr_im, tr_lb = images[:18], labels[:18]
         te_im, te_lb = images[18:], labels[18:]
         grid = GridSpec(lambdas=(1e-5,), alphas=(1e-3,), dropouts=(0.0,), base=BASE)
-        results = grid_search(grid, tr_im, tr_lb, te_im, te_lb, builder_for())
+        results = grid_search(grid, images, labels, np.arange(0, 18), np.arange(18, 24))
         assert len(results) == 1
         cell = results[0]
         assert not cell.failed
 
-        standalone = grid.cells()[0]
-        model = builder_for()(standalone)
-        history = trainer.train(model, tr_im, tr_lb, grid.train_config(standalone))
+        standalone = grid.config(grid.cells()[0])
+        model = pipeline.build_model(standalone, tr_im.shape[1:])
+        history = trainer.train(model, tr_im, tr_lb, train_config_of(standalone))
         assert history.losses == cell.history.losses
         preds, _ = trainer.predict(model, te_im)
         from liftrisk import metrics
@@ -72,27 +67,28 @@ class TestGridSearch:
         rng = np.random.default_rng(1)
         images, labels = make_data(rng)
         grid = GridSpec(lambdas=(1e-3, 1e-7), alphas=(1e-3,), dropouts=(0.0,), base=BASE)
-        args = (images[:18], labels[:18], images[18:], labels[18:], builder_for())
+        args = (images, labels, np.arange(0, 18), np.arange(18, 24))
         r1 = grid_search(grid, *args)
         r2 = grid_search(grid, *args)
         for a, b in zip(r1, r2):
             assert (a.rk, a.accuracy, a.final_loss, a.epochs_run, a.seed) == \
                    (b.rk, b.accuracy, b.final_loss, b.epochs_run, b.seed)
 
-    def test_failed_cell_recorded_not_fatal(self):
+    def test_failed_cell_recorded_not_fatal(self, monkeypatch):
         rng = np.random.default_rng(2)
         images, labels = make_data(rng)
+        build_model = pipeline.build_model
 
-        def sabotaging_builder(cell: TuneCell) -> Model:
-            model = builder_for()(cell)
-            if cell.dropout_rate == 0.5:
+        def sabotaging_build_model(config, input_shape):
+            model = build_model(config, input_shape)
+            if config.dropout_rate == 0.5:
                 model.layers[-1].w[0, 0] = np.nan
             return model
 
+        monkeypatch.setattr(pipeline, "build_model", sabotaging_build_model)
         grid = GridSpec(lambdas=(1e-5,), alphas=(1e-3,), dropouts=(0.0, 0.5), base=BASE)
         with np.errstate(invalid="ignore"):
-            results = grid_search(grid, images[:18], labels[:18], images[18:], labels[18:],
-                                  sabotaging_builder)
+            results = grid_search(grid, images, labels, np.arange(0, 18), np.arange(18, 24))
         assert [c.failed for c in results] == [False, True]
         assert np.isnan(results[1].rk)
 
@@ -110,8 +106,7 @@ class TestGridSearch:
         rng = np.random.default_rng(3)
         images, labels = make_data(rng, n=30)
         grid = GridSpec(lambdas=(1e-5,), alphas=(1e-2, 1e-3), dropouts=(0.0,), base=BASE)
-        results = grid_search(grid, images[:24], labels[:24], images[24:], labels[24:],
-                              builder_for())
+        results = grid_search(grid, images, labels, np.arange(0, 24), np.arange(24, 30))
         for c in results:
             if not c.failed:
                 assert -1.0 <= c.rk <= 1.0

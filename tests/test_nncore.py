@@ -4,11 +4,11 @@ against central finite differences."""
 import numpy as np
 import pytest
 
+from liftrisk.config import PipelineConfig
 from liftrisk.errors import CheckpointMismatchError
 from liftrisk.nncore import (PRESET_NAMES, AvgPool, BatchNorm, Conv2D, Dense, Dropout,
                              Flatten, MaxPool, Model, SoftmaxOutput, build_preset,
-                             conv2d_batch, load_checkpoint, model_from_spec_lines,
-                             save_checkpoint, softmax_output)
+                             conv2d_batch, load_checkpoint, save_checkpoint, softmax_output)
 from liftrisk.trainer import TrainConfig, predict, train
 
 H_FD = 1e-5
@@ -171,9 +171,9 @@ class TestDense:
         assert np.array_equal(y[0], b)
 
 
-def batchnorm_layer(gamma, beta, momentum=0.9):
+def batchnorm_layer(gamma, beta):
     """A BatchNorm with the given affine parameters and unit running stats."""
-    layer = BatchNorm(momentum=momentum)
+    layer = BatchNorm()
     layer.build(gamma.shape, np.random.default_rng(0), np.float64)
     layer.gamma[...] = gamma
     layer.beta[...] = beta
@@ -203,7 +203,7 @@ class TestBatchNorm:
 
     def test_running_stats_update(self):
         x = np.vstack([np.zeros(3), np.full(3, 2.0)])  # mean 1, var 1
-        layer = batchnorm_layer(np.ones(3), np.zeros(3), momentum=0.9)
+        layer = batchnorm_layer(np.ones(3), np.zeros(3))
         layer.forward(x, True, None)
         assert np.allclose(layer.running_mean, 0.1)
         assert np.allclose(layer.running_var, 0.9 * 1.0 + 0.1 * 1.0)
@@ -372,7 +372,7 @@ class TestModelGradients:
         zero biases put dead ReLU cells exactly on the kink, where the loss
         is not differentiable and finite differences are meaningless.
         """
-        model = build_preset("vgg_b_avg", conv_filters=(4, 8, 8), dense_units=16,
+        model = build_preset("vgg_b_avg", classes=3, conv_filters=(4, 8, 8), dense_units=16,
                              dropout_rate=0.0, l2_lambda=1e-3)
         model.build((15, 15, 3), seed=3, dtype=np.float64)
         rng = np.random.default_rng(31)
@@ -436,7 +436,7 @@ def avgpool_backward_repeat(dout, x_shape):
 
 def small_preset(name, dtype=np.float64):
     """A preset at toy size on odd image sides, so pooling drops a row and a column."""
-    return build_preset(name, conv_filters=(4, 4, 8), dense_units=8,
+    return build_preset(name, classes=3, conv_filters=(4, 4, 8), dense_units=8,
                         dropout_rate=0.25, l2_lambda=1e-3).build((13, 11, 3), seed=5,
                                                                  dtype=dtype)
 
@@ -532,8 +532,8 @@ class TestInferenceCaches:
     def test_inference_pass_drops_each_cache(self):
         import weakref
 
-        model = build_preset("vgg_b_avg", conv_filters=(4, 4, 8), dense_units=8,
-                             dropout_rate=0.25).build((12, 12, 3), seed=7)
+        model = build_preset("vgg_b_avg", classes=3, conv_filters=(4, 4, 8), dense_units=8,
+                             dropout_rate=0.25, l2_lambda=1e-5).build((12, 12, 3), seed=7)
         first, second = model.layers[:2]
         patches, alive = [], []
 
@@ -556,8 +556,8 @@ class TestInferenceCaches:
     def test_train_pass_drops_previous_caches_first(self):
         import weakref
 
-        model = build_preset("vgg_b_avg", conv_filters=(4, 4, 8), dense_units=8,
-                             dropout_rate=0.25).build((12, 12, 3), seed=7)
+        model = build_preset("vgg_b_avg", classes=3, conv_filters=(4, 4, 8), dense_units=8,
+                             dropout_rate=0.25, l2_lambda=1e-5).build((12, 12, 3), seed=7)
         first = model.layers[0]
         seen = []
 
@@ -577,9 +577,14 @@ class TestInferenceCaches:
         assert seen == [[], [False], [False, False]]
 
 
+def shipped_preset(name):
+    """The named preset at PipelineConfig's default sizes, unbuilt."""
+    return PipelineConfig(model_preset=name).preset()
+
+
 class TestPresets:
     def test_vgg_b_avg_table_structure(self):
-        model = build_preset("vgg_b_avg")
+        model = shipped_preset("vgg_b_avg")
         kinds = [type(l).__name__ for l in model.layers]
         assert kinds == ["Conv2D", "AvgPool", "Dropout",
                          "Conv2D", "Conv2D", "AvgPool", "Dropout",
@@ -592,7 +597,7 @@ class TestPresets:
         assert model.layers[-1].classes == 3
 
     def test_shape_trace_95(self):
-        model = build_preset("vgg_b_avg").build((95, 95, 3), seed=0)
+        model = shipped_preset("vgg_b_avg").build((95, 95, 3), seed=0)
         spatial = [s for s in model.output_shapes if len(s) == 3]
         heights = []
         for s in spatial:
@@ -604,8 +609,8 @@ class TestPresets:
         assert model.output_shapes[-1] == (3,)
 
     def test_max_variant_differs_only_in_pooling(self):
-        avg = build_preset("vgg_b_avg")
-        mx = build_preset("vgg_b_max")
+        avg = shipped_preset("vgg_b_avg")
+        mx = shipped_preset("vgg_b_max")
         assert len(avg.layers) == len(mx.layers)
         for a, b in zip(avg.layers, mx.layers):
             if isinstance(a, AvgPool):
@@ -615,17 +620,17 @@ class TestPresets:
                 assert a.spec_line() == b.spec_line()
 
     def test_simple_cnn_has_no_pool_or_hidden_dense(self):
-        model = build_preset("simple_cnn")
+        model = shipped_preset("simple_cnn")
         kinds = {type(l) for l in model.layers}
         assert AvgPool not in kinds and MaxPool not in kinds and Dense not in kinds
 
     def test_mlp_is_dense_only(self):
-        model = build_preset("mlp")
+        model = shipped_preset("mlp")
         assert not any(isinstance(l, (Conv2D, AvgPool, MaxPool)) for l in model.layers)
 
     def test_unknown_preset_rejected(self):
         with pytest.raises(ValueError):
-            build_preset("resnet")
+            build_preset("resnet", 3, (32, 64, 128), 1024, 0.25, 1e-5)
 
     def test_model_must_end_with_softmax(self):
         with pytest.raises(ValueError):
@@ -635,18 +640,25 @@ class TestPresets:
 class TestFiniteness:
     def test_forward_outputs_finite(self):
         rng = np.random.default_rng(40)
-        model = build_preset("vgg_b_avg", conv_filters=(4, 4, 8), dense_units=8,
-                             dropout_rate=0.25).build((12, 12, 3), seed=5)
+        model = build_preset("vgg_b_avg", classes=3, conv_filters=(4, 4, 8), dense_units=8,
+                             dropout_rate=0.25, l2_lambda=1e-5).build((12, 12, 3), seed=5)
         x = rng.normal(size=(4, 12, 12, 3)) * 10
         probs = model.forward(x, train=True, rng=rng)
         assert np.all(np.isfinite(probs))
         assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-12)
 
 
+def checkpoint_model(config_lines=()):
+    """The untrained model TestCheckpoint saves; as a loader's builder it
+    ignores the config lines."""
+    return build_preset("vgg_b_avg", classes=3, conv_filters=(4, 4, 8), dense_units=8,
+                        dropout_rate=0.25, l2_lambda=1e-5).build((12, 12, 3), seed=7,
+                                                                 dtype=np.float32)
+
+
 class TestCheckpoint:
     def _trained_ish_model(self):
-        model = build_preset("vgg_b_avg", conv_filters=(4, 4, 8), dense_units=8,
-                             dropout_rate=0.25).build((12, 12, 3), seed=7, dtype=np.float32)
+        model = checkpoint_model()
         rng = np.random.default_rng(41)
         x = rng.normal(size=(4, 12, 12, 3)).astype(np.float32)
         model.forward(x, train=True, rng=rng)  # nudge BN running stats
@@ -657,7 +669,7 @@ class TestCheckpoint:
         path = tmp_path / "m.ckpt"
         save_checkpoint(path, model, ["image_width = 12", "seed = 7"],
                         extra_tensors={"scaler_params": np.arange(72.0).reshape(36, 2)})
-        loaded, config_lines, extra = load_checkpoint(path)
+        loaded, config_lines, extra = load_checkpoint(path, checkpoint_model)
         assert config_lines == ["image_width = 12", "seed = 7"]
         assert np.array_equal(extra["scaler_params"], np.arange(72.0).reshape(36, 2))
         assert loaded.spec_lines() == model.spec_lines()
@@ -671,7 +683,7 @@ class TestCheckpoint:
         model = self._trained_ish_model()
         path = tmp_path / "m.ckpt"
         save_checkpoint(path, model, [])
-        loaded, _, _ = load_checkpoint(path)
+        loaded, _, _ = load_checkpoint(path, checkpoint_model)
         rng = np.random.default_rng(42)
         x = rng.normal(size=(6, 12, 12, 3)).astype(np.float32)
         c1, p1 = predict(model, x)
@@ -693,7 +705,7 @@ class TestCheckpoint:
         first, second = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
         save_checkpoint(first, model, ["seed = 7"],
                         extra_tensors={"scaler_params": np.arange(72.0).reshape(36, 2)})
-        loaded, config_lines, extra = load_checkpoint(first)
+        loaded, config_lines, extra = load_checkpoint(first, checkpoint_model)
         save_checkpoint(second, loaded, config_lines, extra_tensors=extra)
         assert first.read_bytes() == second.read_bytes()
 
@@ -712,7 +724,7 @@ class TestCheckpoint:
         for cut in cuts:
             path.write_bytes(blob[:cut])
             with pytest.raises(CheckpointMismatchError, match="m.ckpt"):
-                load_checkpoint(path)
+                load_checkpoint(path, checkpoint_model)
 
     def test_rejects_non_3x3(self, tmp_path):
         # a conv kernel whose header says 5x5 disagrees with the 3x3 layer spec
@@ -724,7 +736,7 @@ class TestCheckpoint:
         assert header in blob
         path.write_bytes(blob.replace(header, b"tensor layer00.w 4 5 5 3 4\n"))
         with pytest.raises(CheckpointMismatchError, match="layer00.w"):
-            load_checkpoint(path)
+            load_checkpoint(path, checkpoint_model)
 
     def test_version_checked(self, tmp_path):
         model = self._trained_ish_model()
@@ -734,17 +746,12 @@ class TestCheckpoint:
         assert blob.startswith(b"LRISK\nversion 1\n")
         path.write_bytes(blob.replace(b"version 1", b"version 9", 1))
         with pytest.raises(CheckpointMismatchError, match="version 9") as err:
-            load_checkpoint(path)
+            load_checkpoint(path, checkpoint_model)
         assert "m.ckpt" in str(err.value)
 
     def test_magic_checked(self, tmp_path):
         path = tmp_path / "bad.ckpt"
         path.write_bytes(b"NOPE\nversion 1\n")
         with pytest.raises(CheckpointMismatchError, match="magic") as err:
-            load_checkpoint(path)
+            load_checkpoint(path, checkpoint_model)
         assert "bad.ckpt" in str(err.value)
-
-    def test_spec_lines_roundtrip(self):
-        model = build_preset("vgg_b_avg", dropout_rate=0.25, l2_lambda=1e-5)
-        clone = model_from_spec_lines(model.spec_lines())
-        assert clone.spec_lines() == model.spec_lines()

@@ -40,8 +40,8 @@ class TestClassScoreGradient:
     def test_finite_difference_agreement(self):
         rng = np.random.default_rng(2)
         img = encoded_image(rng, frames=16, width=16)
-        model = build_preset("vgg_b_avg", conv_filters=(4, 4, 8), dense_units=8,
-                             dropout_rate=0.25).build((12, 16, 3), seed=3)
+        model = build_preset("vgg_b_avg", classes=3, conv_filters=(4, 4, 8), dense_units=8,
+                             dropout_rate=0.25, l2_lambda=1e-5).build((12, 16, 3), seed=3)
         for p in model.params():
             p += rng.normal(scale=0.05, size=p.shape)
         smap = class_score_gradient(model, img, 2)
@@ -75,8 +75,8 @@ class TestClassScoreGradient:
     def test_gradient_scales_with_output_weights(self):
         rng = np.random.default_rng(5)
         img = encoded_image(rng, frames=16, width=16)
-        model = build_preset("simple_cnn", conv_filters=(4, 4, 8),
-                             dropout_rate=0.0).build((12, 16, 3), seed=6)
+        model = build_preset("simple_cnn", classes=3, conv_filters=(4, 4, 8), dense_units=1024,
+                             dropout_rate=0.0, l2_lambda=1e-5).build((12, 16, 3), seed=6)
         s1 = class_score_gradient(model, img, 0)
         model.layers[-1].w[:, 0] *= 2.5
         model.layers[-1].b[0] *= 2.5
@@ -193,8 +193,8 @@ class TestExport:
     def test_mean_magnitude(self):
         rng = np.random.default_rng(18)
         img = encoded_image(rng, frames=16, width=16)
-        model = build_preset("simple_cnn", conv_filters=(4, 4, 8),
-                             dropout_rate=0.0).build((12, 16, 3), seed=19)
+        model = build_preset("simple_cnn", classes=3, conv_filters=(4, 4, 8), dense_units=1024,
+                             dropout_rate=0.0, l2_lambda=1e-5).build((12, 16, 3), seed=19)
         maps = [class_score_gradient(model, img, c) for c in range(3)]
         mean = mean_magnitude(maps)
         assert mean == pytest.approx(np.mean([m.magnitude for m in maps], axis=0))

@@ -329,3 +329,21 @@ class TestManifest:
     def test_bad_split_rejected(self):
         with pytest.raises(ValueError):
             Manifest(entries=[ManifestEntry("a.csv", 0, 1, 0, 10, split="dev")])
+
+    @pytest.mark.parametrize("trial_file", ["#a.csv", "  #a.csv", "a\rb.csv", "a\nb.csv"])
+    def test_unreadable_trial_file_rejected(self, trial_file):
+        # a '#' first field reads as a comment, and a CR or LF can end the row
+        with pytest.raises(ValueError, match="cannot be read back"):
+            Manifest(entries=[ManifestEntry(trial_file, 0, 1, 0, 10)])
+
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(names=st.lists(st.text(st.characters(blacklist_categories=("Cs",)), max_size=8),
+                          min_size=1, max_size=3, unique=True),
+           end=st.sampled_from(["\n", "\r\n"]))
+    def test_accepted_entries_read_back(self, tmp_path, names, end):
+        try:
+            manifest = Manifest([ManifestEntry(n, 0, 1, i, 10) for i, n in enumerate(names)])
+        except ValueError:
+            return
+        synthdata.write_manifest(tmp_path / "manifest.csv", manifest, ["a comment"], end)
+        assert synthdata.load_manifest(tmp_path).entries == manifest.entries

@@ -12,13 +12,17 @@ from __future__ import annotations
 
 import argparse
 import sys
+from itertools import zip_longest
 from pathlib import Path
+
+import numpy as np
 
 from . import hypertune, metrics, pipeline, saliency, signals, synthdata, trainer
 from .config import PipelineConfig, desk_config, load_config, parse_kv_lines
 from .errors import (CheckpointMismatchError, ConfigError, DataError,
                      TrainingDivergedError)
 from .fileio import lines_text, write_file
+from .nncore import Model
 
 EXIT_CONFIG = 2
 EXIT_DATA = 3
@@ -126,9 +130,23 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _eval_config(model: Model, path) -> PipelineConfig:
+    """The override config at `path`, which must build the checkpoint's
+    model: eval runs that model, and the report's header names the config."""
+    config = load_config(path)
+    built = config.preset().spec_lines() + [f"dtype {config.dtype}"]
+    loaded = model.spec_lines() + [f"dtype {np.dtype(model.dtype).name}"]
+    for got, want in zip_longest(built, loaded, fillvalue="no layer"):
+        if got != want:
+            raise CheckpointMismatchError(f"{path}: builds {got!r} where the checkpoint's "
+                                          f"model has {want!r}")
+    return config
+
+
 def cmd_eval(args) -> int:
-    model, ckpt_config, scaler = pipeline.load_trained(args.model)
-    config = ckpt_config if args.config is None else load_config(args.config)
+    model, config, scaler = pipeline.load_trained(args.model)
+    if args.config is not None:
+        config = _eval_config(model, args.config)
     trials, manifest, _ = pipeline.load_test_split(args.data, config)
     cm, _ = pipeline.evaluate_checkpoint(model, config, scaler, trials, manifest)
     if args.out:

@@ -39,21 +39,25 @@ def _im2col(x: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(cols).reshape(n * h * w, 9 * c)
 
 
-def conv2d_batch(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Same-padding stride-1 cross-correlation plus bias (no activation),
-    and the patch matrix it multiplied, which the weight gradient reuses."""
+def conv2d_batch(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Same-padding stride-1 cross-correlation plus bias (no activation)."""
     n, h, wd, _ = x.shape
     cout = w.shape[3]
-    cols = _im2col(x)
-    out = cols @ w.reshape(-1, cout) + b
-    return out.reshape(n, h, wd, cout), cols
+    out = _im2col(x) @ w.reshape(-1, cout) + b
+    return out.reshape(n, h, wd, cout)
 
 
 def avgpool_batch(x: np.ndarray) -> np.ndarray:
+    """2x2 window means: the window's four cells added in row-major order,
+    one at a time, then divided by 4."""
     n, h, w, c = x.shape
     h2, w2 = h // 2, w // 2
-    v = x[:, : 2 * h2, : 2 * w2, :].reshape(n, h2, 2, w2, 2, c)
-    return v.mean(axis=(2, 4))
+    top, bottom = x[:, 0: 2 * h2: 2], x[:, 1: 2 * h2: 2]
+    out = top[:, :, 0: 2 * w2: 2] + top[:, :, 1: 2 * w2: 2]
+    out += bottom[:, :, 0: 2 * w2: 2]
+    out += bottom[:, :, 1: 2 * w2: 2]
+    out /= 4
+    return out
 
 
 def maxpool_batch(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -134,21 +138,23 @@ class Conv2D(Layer):
         return [self.w, self.b]
 
     def forward(self, x, train, rng):
-        z, cols = conv2d_batch(x, self.w, self.b)
+        # the cache keeps the input, not its 9x larger patch matrix: backward
+        # rebuilds the same patches
+        z = conv2d_batch(x, self.w, self.b)
         mask = z > 0
-        return z * mask, (cols, mask, x.shape)
+        return z * mask, (x, mask)
 
     def backward(self, dout, cache, need_dx=True, need_grads=True):
-        cols, mask, x_shape = cache
+        x, mask = cache
         dz = dout * mask
         grads = dx = None
         if need_grads:
             dz_flat = dz.reshape(-1, self.filters)
-            grads = [(cols.T @ dz_flat).reshape(self.w.shape), dz_flat.sum(axis=0)]
+            grads = [(_im2col(x).T @ dz_flat).reshape(self.w.shape), dz_flat.sum(axis=0)]
         if need_dx:
             # same-padding correlation of dz with the flipped, transposed kernel
             wf = self.w[::-1, ::-1].transpose(0, 1, 3, 2)
-            dx = (_im2col(dz) @ wf.reshape(-1, wf.shape[3])).reshape(x_shape)
+            dx = (_im2col(dz) @ wf.reshape(-1, wf.shape[3])).reshape(x.shape)
         return dx, grads
 
     def spec_line(self):
@@ -435,9 +441,10 @@ class Model:
         """Probabilities for a batch; train mode records caches for backward.
 
         Every pass first drops the previous train-mode pass's caches, so two
-        steps' caches are never held at once.  An inference pass drops each
-        layer's cache (a conv layer's im2col patches among them) as soon as
-        the layer returns.
+        steps' caches are never held at once.  A conv layer's train cache is
+        its input (kept by reference, so `x` must not change before backward)
+        and its ReLU mask, not its patch matrix, which backward rebuilds.  An
+        inference pass drops each layer's cache as soon as the layer returns.
         """
         if not self.built:
             raise RuntimeError("model is not built")

@@ -226,7 +226,7 @@ def test_criterion_2_convolution_oracle():
         x = rng.normal(size=(hh, ww, cin))
         w = rng.normal(size=(3, 3, cin, cout))
         b = rng.normal(size=cout)
-        out, _ = conv2d_batch(x[None], w, b)
+        out = conv2d_batch(x[None], w, b)
         diff = float(np.max(np.abs(out[0] - conv_naive(x, w, b))))
         worst = max(worst, diff)
     assert worst < 1e-10

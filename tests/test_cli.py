@@ -322,6 +322,10 @@ class TestBadInputs:
          ["bad.ckpt:", "dense units=16 activation=relu", "dense units=17 activation=relu"]),
         ("eval", _spec_line("dropout rate=0.25", "dropout rate=0.35"), cli.EXIT_MISMATCH,
          ["bad.ckpt:", "dropout rate=0.35", "dropout rate=0.25"]),
+        ("eval", _config(dense_units=17), cli.EXIT_MISMATCH,
+         ["bad.txt", "dense units=17 activation=relu", "dense units=16 activation=relu"]),
+        ("eval", _config(dtype="float64"), cli.EXIT_MISMATCH,
+         ["bad.txt", "dtype float64", "dtype float32"]),
         ("train", _config(batch_size=0), cli.EXIT_CONFIG, ["bad.txt", "batch_size"]),
         ("train", _config(learning_rate="nan"), cli.EXIT_CONFIG, ["bad.txt", "learning_rate"]),
         ("train", _config(filter_low_hz="nan"), cli.EXIT_CONFIG, ["bad.txt", "filter_low_hz"]),
@@ -334,8 +338,9 @@ class TestBadInputs:
             "scaler-35x2", "filter-order", "band-edges", "target-frames", "image-width",
             "pools", "cut-trial", "bare-version", "config-count", "dtype", "non-utf8-header",
             "tensor-dims", "weight-past-float32", "nan-weight", "config-comment-flip",
-            "config-dense-units", "spec-dropout-rate", "batch-size", "learning-rate-nan",
-            "filter-low-nan", "dense-units", "conv-filters", "l2-inf", "min-delta-nan", "seed"])
+            "config-dense-units", "spec-dropout-rate", "eval-override-model",
+            "eval-override-dtype", "batch-size", "learning-rate-nan", "filter-low-nan",
+            "dense-units", "conv-filters", "l2-inf", "min-delta-nan", "seed"])
     def test_exit_code_names_the_input(self, trained, tiny_dataset_dir, tiny_config,
                                        tiny_config_file, tmp_path, capsys,
                                        command, spoil, code, named):

@@ -39,8 +39,7 @@ def rel_err(analytic, numeric):
 
 def conv_kernel(x, w, b):
     """One image [H,W,Cin] through the batched conv kernel, pre-activation."""
-    out, _ = conv2d_batch(x[None], w, b)
-    return out[0]
+    return conv2d_batch(x[None], w, b)[0]
 
 
 def layer_forward(layer, x, train=False, rng=None):
@@ -108,6 +107,21 @@ class TestPooling:
     def test_rejects_tiny_input(self):
         with pytest.raises(ValueError):
             AvgPool().build((1, 5, 1), np.random.default_rng(0), np.float64)
+
+    @pytest.mark.parametrize("shape", [(2, 5, 7, 3), (2, 6, 6, 2), (1, 7, 4, 2), (3, 9, 8, 5),
+                                       (2, 4, 11, 3), (2, 95, 95, 8), (1, 47, 47, 64)])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_avg_matches_reshape_mean(self, shape, dtype):
+        # mixed signs and magnitudes from 1e-3 to 1e3, so the order of the
+        # four additions shows in the rounding
+        rng = np.random.default_rng(12)
+        x = (rng.choice([-1.0, 1.0], size=shape)
+             * 10.0 ** rng.uniform(-3.0, 3.0, size=shape)).astype(dtype)
+        n, h, w, c = shape
+        want = x[:, : 2 * (h // 2), : 2 * (w // 2), :].reshape(
+            n, h // 2, 2, w // 2, 2, c).mean(axis=(2, 4))
+        got = layer_forward(AvgPool(), x)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 class TestDropout:
@@ -441,6 +455,60 @@ def small_preset(name, dtype=np.float64):
                                                                  dtype=dtype)
 
 
+def patches_reference(x):
+    """[N*H*W, 9*C] patch matrix of the zero-padded input, from nine slices."""
+    n, h, w, c = x.shape
+    xp = np.pad(x, ((0, 0), (1, 1), (1, 1), (0, 0)))
+    cols = np.concatenate([xp[:, a: a + h, b: b + w, :] for a in range(3) for b in range(3)],
+                          axis=3)
+    return cols.reshape(n * h * w, 9 * c)
+
+
+def conv_cached_patches(layer, x, dout, need_dx, need_grads):
+    """Conv2D as it ran when its cache held the forward's patch matrix:
+    (output, input gradient or None, parameter gradients or None)."""
+    cols = patches_reference(x)
+    z = (cols @ layer.w.reshape(-1, layer.filters) + layer.b).reshape(*x.shape[:3], -1)
+    mask = z > 0
+    dz = dout * mask
+    grads = dx = None
+    if need_grads:
+        dz_flat = dz.reshape(-1, layer.filters)
+        grads = [(cols.T @ dz_flat).reshape(layer.w.shape), dz_flat.sum(axis=0)]
+    if need_dx:
+        wf = layer.w[::-1, ::-1].transpose(0, 1, 3, 2)
+        dx = (patches_reference(dz) @ wf.reshape(-1, wf.shape[3])).reshape(x.shape)
+    return z * mask, dx, grads
+
+
+class TestConvRebuiltPatches:
+    """A conv layer that keeps its input and rebuilds the patches in backward
+    computes every output and gradient bit for bit as one that kept them."""
+
+    @pytest.mark.parametrize("flags", [(True, True), (True, False), (False, True),
+                                       (False, False)])
+    @pytest.mark.parametrize("dims", [(3, 7, 5, 3, 4), (2, 6, 6, 4, 2), (1, 9, 11, 2, 5),
+                                      (4, 13, 13, 8, 8)])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_matches_cached_patch_formulation(self, dtype, dims, flags):
+        n, h, w, cin, cout = dims
+        rng = np.random.default_rng(60)
+        layer = Conv2D(cout)
+        layer.build((h, w, cin), rng, dtype)
+        layer.b += rng.normal(scale=0.1, size=cout).astype(dtype)
+        x = rng.normal(size=(n, h, w, cin)).astype(dtype)
+        dout = rng.normal(size=(n, h, w, cout)).astype(dtype)
+        y, cache = layer.forward(x, True, None)
+        dx, grads = layer.backward(dout, cache, *flags)
+        want_y, want_dx, want_grads = conv_cached_patches(layer, x, dout, *flags)
+        assert y.dtype == want_y.dtype and np.array_equal(y, want_y)
+        assert (dx is None) == (want_dx is None) and (grads is None) == (want_grads is None)
+        if dx is not None:
+            assert dx.dtype == want_dx.dtype and np.array_equal(dx, want_dx)
+        for got, ref in zip(grads or [], want_grads or []):
+            assert got.dtype == ref.dtype and np.array_equal(got, ref)
+
+
 class TestBackwardFlags:
     """Skipping unread gradients leaves every gradient that is read bit-identical."""
 
@@ -529,21 +597,55 @@ class TestBackwardFlags:
 
 
 class TestInferenceCaches:
+    @staticmethod
+    def toy_model():
+        return build_preset("vgg_b_avg", classes=3, conv_filters=(4, 4, 8), dense_units=8,
+                            dropout_rate=0.25, l2_lambda=1e-5).build((12, 12, 3), seed=7)
+
+    def test_no_patch_matrix_outlives_a_conv_forward(self, monkeypatch):
+        import weakref
+
+        from liftrisk import nncore
+
+        model = self.toy_model()
+        patches, alive = [], []
+
+        def recording_im2col(x):
+            cols = im2col(x)
+            patches.append(weakref.ref(cols))
+            return cols
+
+        def checking_forward(layer):
+            def forward(x, train, rng):
+                alive.append(any(ref() is not None for ref in patches))
+                return type(layer).forward(layer, x, train, rng)
+            return forward
+
+        im2col = nncore._im2col
+        monkeypatch.setattr(nncore, "_im2col", recording_im2col)
+        for layer in model.layers[1:]:
+            layer.forward = checking_forward(layer)
+        x = np.random.default_rng(43).normal(size=(3, 12, 12, 3))
+        model.forward(x, train=False)
+        model.forward(x, train=True, rng=np.random.default_rng(0))
+        model.backward(np.eye(3)[[0, 1, 2]])
+        assert len(patches) == 5 + 5 + 9 and all(ref() is None for ref in patches)
+        assert alive == [False] * 2 * (len(model.layers) - 1)
+
     def test_inference_pass_drops_each_cache(self):
         import weakref
 
-        model = build_preset("vgg_b_avg", classes=3, conv_filters=(4, 4, 8), dense_units=8,
-                             dropout_rate=0.25, l2_lambda=1e-5).build((12, 12, 3), seed=7)
+        model = self.toy_model()
         first, second = model.layers[:2]
-        patches, alive = [], []
+        masks, alive = [], []
 
         def first_forward(x, train, rng):
             y, cache = Conv2D.forward(first, x, train, rng)
-            patches.append(weakref.ref(cache[0]))  # the im2col patch matrix
+            masks.append(weakref.ref(cache[1]))  # the ReLU mask
             return y, cache
 
         def second_forward(x, train, rng):
-            alive.append(patches[-1]() is not None)
+            alive.append(masks[-1]() is not None)
             return type(second).forward(second, x, train, rng)
 
         first.forward, second.forward = first_forward, second_forward
@@ -553,27 +655,39 @@ class TestInferenceCaches:
         model.forward(x, train=True, rng=np.random.default_rng(0))
         assert alive == [False, True]  # train mode keeps it for backward
 
+    def test_train_cache_holds_input_and_mask_only(self):
+        model = self.toy_model()
+        x = np.random.default_rng(45).normal(size=(3, 12, 12, 3))
+        model.forward(x, train=True, rng=np.random.default_rng(0))
+        in_shapes = [model.input_shape] + model.output_shapes
+        convs = 0
+        for i, (layer, cache) in enumerate(zip(model.layers, model._train_caches)):
+            if isinstance(layer, Conv2D):
+                convs += 1
+                assert [a.shape for a in cache] == [(3, *in_shapes[i]), (3, *in_shapes[i + 1])]
+                assert [a.dtype for a in cache] == [np.float64, bool]
+        assert convs == 5 and model._train_caches[0][0] is x
+
     def test_train_pass_drops_previous_caches_first(self):
         import weakref
 
-        model = build_preset("vgg_b_avg", classes=3, conv_filters=(4, 4, 8), dense_units=8,
-                             dropout_rate=0.25, l2_lambda=1e-5).build((12, 12, 3), seed=7)
+        model = self.toy_model()
         first = model.layers[0]
         seen = []
 
         def first_forward(x, train, rng):
-            seen.append([ref() is not None for ref in patches])
+            seen.append([ref() is not None for ref in masks])
             y, cache = Conv2D.forward(first, x, train, rng)
-            patches.append(weakref.ref(cache[0]))
+            masks.append(weakref.ref(cache[1]))  # the ReLU mask, made by this pass
             return y, cache
 
-        patches = []
+        masks = []
         first.forward = first_forward
         x = np.random.default_rng(44).normal(size=(3, 12, 12, 3))
         model.forward(x, train=True, rng=np.random.default_rng(0))
         model.forward(x, train=True, rng=np.random.default_rng(1))
         model.forward(x, train=False)
-        # each pass starts with the previous train-mode pass's patches gone
+        # each pass starts with the previous train-mode pass's caches gone
         assert seen == [[], [False], [False, False]]
 
 

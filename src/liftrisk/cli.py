@@ -110,7 +110,7 @@ def _comment_header(config: PipelineConfig) -> list[str]:
 
 def cmd_train(args) -> int:
     config = PipelineConfig() if args.config is None else load_config(args.config)
-    trials, manifest = synthdata.load_dataset(args.data)
+    trials, manifest = pipeline.load_split(args.data, config)
     result = pipeline.run_training(trials, manifest, config)
 
     ckpt = Path(args.out)
@@ -162,10 +162,12 @@ def cmd_eval(args) -> int:
 
 def cmd_saliency(args) -> int:
     model, config, scaler = pipeline.load_trained(args.model)
-    trials, manifest, positions = pipeline.load_test_split(args.data, config)
+    # the test trials of the class alone: the checkpoint's scaler is fixed,
+    # so each trial's image is the one a whole test split would give it
+    trials, manifest, positions = pipeline.load_test_split(args.data, config, args.class_name)
     pipeline.check_geometry(model, config)
     data = pipeline.prepare(trials, manifest, config, scaler=scaler)
-    outputs = pipeline.saliency_for_class(model, data, args.class_name, args.data)
+    outputs = pipeline.saliency_for_class(model, data, args.class_name)
 
     out = Path(args.out)
     saliency.export_saliency(outputs.mean_magnitude,
@@ -209,7 +211,7 @@ def load_grid(path, config: PipelineConfig) -> hypertune.GridSpec:
 def cmd_tune(args) -> int:
     config = PipelineConfig() if args.config is None else load_config(args.config)
     grid = load_grid(args.grid, config)  # every grid value is checked before the data loads
-    trials, manifest = synthdata.load_dataset(args.data)
+    trials, manifest = pipeline.load_split(args.data, config)
     data = pipeline.prepare(trials, manifest, config)
     results = hypertune.grid_search(grid, data.images, data.labels, data.train_idx, data.test_idx)
 

@@ -37,15 +37,39 @@ def assign_split(manifest: Manifest, config: PipelineConfig) -> Manifest:
     return synthdata.split_dataset(manifest, config.train_fraction, seed=config.seed)
 
 
-def load_test_split(directory, config: PipelineConfig,
-                    ) -> tuple[list[signals.TrialRecording], Manifest, list[int]]:
-    """Only the test split's trials, read after the whole manifest is split
-    as `prepare` would split it, with that split's manifest and each
-    trial's position in the whole manifest."""
+def _split_manifest(directory, config: PipelineConfig, splits) -> Manifest:
+    """The directory's whole manifest, split as `prepare` splits it; each of
+    `splits` that holds no trial is a DataError, raised before any trial
+    file is read."""
     manifest = assign_split(synthdata.load_manifest(directory), config)
+    for split in splits:
+        if not any(e.split == split for e in manifest.entries):
+            raise DataError(f"no {split}-split trials in {directory}", path=str(directory))
+    return manifest
+
+
+def load_split(directory, config: PipelineConfig,
+               ) -> tuple[list[signals.TrialRecording], Manifest]:
+    """Every trial of the directory's manifest, which must hold train-split
+    and test-split trials, with the split manifest."""
+    return synthdata.load_dataset(directory, _split_manifest(directory, config, ("train", "test")))
+
+
+def load_test_split(directory, config: PipelineConfig, class_name: str | None = None,
+                    ) -> tuple[list[signals.TrialRecording], Manifest, list[int]]:
+    """Only the test split's trials, of `class_name` alone when it is given,
+    read after the whole manifest is split as `prepare` would split it; with
+    their manifest and each trial's position in the whole manifest.  A class
+    with no test trial is a DataError naming the class and `directory`,
+    raised before any trial file is read."""
+    manifest = _split_manifest(directory, config, ("test",))
     positions = [i for i, e in enumerate(manifest.entries) if e.split == "test"]
-    if not positions:
-        raise DataError(f"no test-split trials in {directory}", path=str(directory))
+    if class_name is not None:
+        positions = [i for i in positions
+                     if synthdata.zone_to_risk(manifest.entries[i].zone).value == class_name]
+        if not positions:
+            raise DataError(f"no test-split images of class {class_name!r} in {directory}",
+                            path=str(directory))
     test = Manifest(entries=[manifest.entries[i] for i in positions])
     trials, test = synthdata.load_dataset(directory, test)
     return trials, test, positions
@@ -66,10 +90,17 @@ def prepare(trials, manifest: Manifest, config: PipelineConfig,
     if scaler is None:
         fit_on = [processed[i] for i in train_idx] if len(train_idx) else processed
         scaler = signals.fit_scaler(fit_on, config.scaler_mode)
-    scaled = [signals.apply_scaler(t, scaler) for t in processed]
-    encoded = [imaging.wrap_image(imaging.to_channel_matrix(t), config.image_width)
-               for t in scaled]
-    images = np.stack([e.pixels for e in encoded])
+    # one copy of the pixels: each trial is scaled and encoded on its own,
+    # and its image becomes a view of its row of `images`
+    shape = imaging.image_shape(config.target_frames, config.image_width)
+    images = np.empty((len(processed), *shape))
+    encoded = []
+    for row, t in zip(images, processed):
+        e = imaging.wrap_image(imaging.to_channel_matrix(signals.apply_scaler(t, scaler)),
+                               config.image_width)
+        row[...] = e.pixels
+        e.pixels = row
+        encoded.append(e)
     labels = np.array([synthdata.zone_to_risk(e.zone).index for e in manifest.entries],
                       dtype=np.int64)
     return PreparedData(images=images, labels=labels, encoded=encoded, manifest=manifest,
@@ -163,16 +194,14 @@ class SaliencyOutputs:
     image_indices: list[int]
 
 
-def saliency_for_class(model: Model, data: PreparedData, class_name: str,
-                       directory=None) -> SaliencyOutputs:
+def saliency_for_class(model: Model, data: PreparedData, class_name: str) -> SaliencyOutputs:
     """Per-image saliency maps over the test images of one class, plus the
     mean map and its sensor attribution.  A class with no test image is a
-    DataError naming the class and `directory`, the dataset it came from."""
+    DataError naming the class."""
     class_index = RISK_CLASSES.index(class_name)
     idx = [int(i) for i in data.test_idx if data.labels[i] == class_index]
     if not idx:
-        where = "" if directory is None else f" in {directory}"
-        raise DataError(f"no test-split images of class {class_name!r}{where}")
+        raise DataError(f"no test-split images of class {class_name!r}")
     maps = [saliency.class_score_gradient(model, data.encoded[i], class_index) for i in idx]
     mean_mag = saliency.mean_magnitude(maps)
     attr = saliency.sensor_attribution(mean_mag, data.encoded[idx[0]])

@@ -18,7 +18,10 @@ from .fileio import lines_text, write_file
 from .nncore import Model
 
 LOG_CLAMP = 1e-12
-EVAL_BATCH = 128
+# images per inference pass, the default training batch size.  A pass's
+# transient memory grows with it; passes split at whole images, so it sets
+# only the row count of each forward GEMM
+EVAL_BATCH = 32
 # elements per Adam block: a block's parameter, gradient, moments and scratch
 # stay in cache through all of the update's passes
 ADAM_BLOCK = 32768

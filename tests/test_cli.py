@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from liftrisk import cli, pipeline, synthdata
+from liftrisk import cli, pipeline, saliency, synthdata
 from liftrisk.config import PipelineConfig, load_config, parse_config_lines
 from liftrisk.errors import CheckpointMismatchError, ConfigError
 from liftrisk.nncore import save_checkpoint
@@ -283,6 +283,20 @@ def _cut_trial(rows):
     return spoil
 
 
+def _one_split(split):
+    """A dataset of the manifest alone, every trial recorded in `split`: no
+    trial file exists, so a command that reads one fails on it instead."""
+    def spoil(trained, dataset, config, tmp_path):
+        copy = tmp_path / "one_split"
+        copy.mkdir()
+        manifest = synthdata.load_manifest(dataset)
+        for entry in manifest.entries:
+            entry.split = split
+        synthdata.write_manifest(copy / "manifest.csv", manifest)
+        return {"--data": copy}
+    return spoil
+
+
 class TestBadInputs:
     """Bad checkpoints, config values and trial files, one row each: the
     command, how its input is spoiled, the exit code and what the message
@@ -334,19 +348,29 @@ class TestBadInputs:
         ("train", _config(l2_lambda="inf"), cli.EXIT_CONFIG, ["bad.txt", "l2_lambda"]),
         ("train", _config(min_delta="nan"), cli.EXIT_CONFIG, ["bad.txt", "min_delta"]),
         ("train", _config(seed=-1), cli.EXIT_CONFIG, ["bad.txt", "seed"]),
+        ("train", _one_split("train"), cli.EXIT_DATA, ["one_split", "no test-split trials"]),
+        ("train", _one_split("test"), cli.EXIT_DATA, ["one_split", "no train-split trials"]),
+        ("tune", _one_split("train"), cli.EXIT_DATA, ["one_split", "no test-split trials"]),
+        ("tune", _one_split("test"), cli.EXIT_DATA, ["one_split", "no train-split trials"]),
     ], ids=["missing-checkpoint", "unknown-layer", "misspelt-layer-key", "no-scaler",
             "scaler-35x2", "filter-order", "band-edges", "target-frames", "image-width",
             "pools", "cut-trial", "bare-version", "config-count", "dtype", "non-utf8-header",
             "tensor-dims", "weight-past-float32", "nan-weight", "config-comment-flip",
             "config-dense-units", "spec-dropout-rate", "eval-override-model",
             "eval-override-dtype", "batch-size", "learning-rate-nan", "filter-low-nan",
-            "dense-units", "conv-filters", "l2-inf", "min-delta-nan", "seed"])
+            "dense-units", "conv-filters", "l2-inf", "min-delta-nan", "seed",
+            "train-all-train", "train-all-test", "tune-all-train", "tune-all-test"])
     def test_exit_code_names_the_input(self, trained, tiny_dataset_dir, tiny_config,
                                        tiny_config_file, tmp_path, capsys,
                                        command, spoil, code, named):
+        grid = tmp_path / "grid.txt"
+        grid.write_text("lambdas = 1e-5\nalphas = 1e-3\ndropouts = 0.25\n")
         args = {"eval": {"--model": trained, "--data": tiny_dataset_dir},
                 "train": {"--data": tiny_dataset_dir, "--config": tiny_config_file,
-                          "--out": tmp_path / "out" / "m.ckpt"}}[command]
+                          "--out": tmp_path / "out" / "m.ckpt"},
+                "tune": {"--data": tiny_dataset_dir, "--grid": grid,
+                         "--config": tiny_config_file, "--out": tmp_path / "out" / "t.csv"},
+                }[command]
         args.update(spoil(trained, tiny_dataset_dir, tiny_config, tmp_path))
         argv = [command] + [str(v) for pair in args.items() for v in pair]
         try:
@@ -419,13 +443,45 @@ class TestSaliencyCmd:
         assert "sensor,total,rank" in attr
 
     def test_class_without_test_images_exit_3(self, trained, tiny_dataset_dir, tmp_path,
-                                              capsys):
-        # the tiny dataset's test split holds only medium and high trials
+                                              capsys, monkeypatch):
+        def unread(path, entry):
+            raise AssertionError(f"{path} was read")
+
+        # the tiny dataset's test split holds only medium and high trials,
+        # which is known before any trial file is read
+        monkeypatch.setattr(synthdata, "_load_trial", unread)
         rc = run(["saliency", "--model", str(trained), "--data", str(tiny_dataset_dir),
                   "--class", "low", "--out", str(tmp_path / "sal")])
         assert rc == cli.EXIT_DATA
         err = capsys.readouterr().err
         assert "'low'" in err and str(tiny_dataset_dir) in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("class_name", ["medium", "high"])
+    def test_class_alone_equals_whole_test_split(self, trained, tiny_dataset_dir, tmp_path,
+                                                 class_name):
+        """saliency reads only its class's trials; its files are those of
+        saliency_for_class over a prepare of the whole test split."""
+        out = tmp_path / "sal"
+        assert run(["saliency", "--model", str(trained), "--data", str(tiny_dataset_dir),
+                    "--class", class_name, "--out", str(out)]) == 0
+
+        model, config, scaler = pipeline.load_trained(trained)
+        trials, manifest, positions = pipeline.load_test_split(tiny_dataset_dir, config)
+        data = pipeline.prepare(trials, manifest, config, scaler=scaler)
+        whole = pipeline.saliency_for_class(model, data, class_name)
+        ref = tmp_path / "ref"
+        saliency.export_saliency(whole.mean_magnitude, ref / f"saliency_{class_name}_mean.pgm")
+        for i, smap in zip(whole.image_indices, whole.per_image):
+            saliency.export_saliency(smap.magnitude,
+                                     ref / f"saliency_{class_name}_img{positions[i]:04d}.pgm")
+        saliency.write_attribution_csv(ref / f"attribution_{class_name}.csv", whole.attribution,
+                                       cli._comment_header(config))
+
+        def files(root):
+            return {p.name: p.read_bytes() for p in sorted(root.iterdir())}
+
+        assert len(files(ref)) == len(whole.per_image) + 2
+        assert files(out) == files(ref)
 
 
 class TestManifestRows:

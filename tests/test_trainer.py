@@ -2,12 +2,14 @@
 reference, early-stopping semantics, and training-loop determinism."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from liftrisk import trainer
+from liftrisk import imaging, pipeline, trainer
+from liftrisk.config import desk_config
 from liftrisk.errors import TrainingDivergedError
 from liftrisk.nncore import Dense, Dropout, Flatten, Model, SoftmaxOutput
 from liftrisk.trainer import (ADAM_BETA1, ADAM_BETA2, ADAM_BLOCK, ADAM_EPSILON, AdamState,
@@ -310,6 +312,28 @@ class TestPredict:
         classes, probs = predict(model, np.ones((3, 2)))
         assert np.allclose(probs, 1 / 3)
         assert np.array_equal(classes, [0, 0, 0])
+
+    def test_transient_memory_does_not_grow_with_n(self):
+        """predict runs EVAL_BATCH images per pass: over four passes' worth of
+        desk-shape images it peaks as over one pass, net of input and output."""
+        config = desk_config()
+        shape = imaging.image_shape(config.target_frames, config.image_width)
+        model = pipeline.build_model(config, shape)
+        rng = np.random.default_rng(13)
+
+        def transient(n):
+            images = rng.standard_normal((n, *shape), dtype=np.float32)
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                classes, probs = predict(model, images)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            return peak - base - classes.nbytes - probs.nbytes
+
+        one_pass = transient(trainer.EVAL_BATCH)
+        assert transient(4 * trainer.EVAL_BATCH) <= 1.3 * one_pass
 
 
 class TestHistoryCsv:

@@ -22,6 +22,7 @@ from .config import PipelineConfig, desk_config, load_config, parse_kv_lines
 from .errors import (CheckpointMismatchError, ConfigError, DataError,
                      TrainingDivergedError)
 from .fileio import lines_text, write_file
+from .imaging import image_shape
 from .nncore import Model
 
 EXIT_CONFIG = 2
@@ -110,8 +111,7 @@ def _comment_header(config: PipelineConfig) -> list[str]:
 
 def cmd_train(args) -> int:
     config = PipelineConfig() if args.config is None else load_config(args.config)
-    trials, manifest = pipeline.load_split(args.data, config)
-    result = pipeline.run_training(trials, manifest, config)
+    result = pipeline.run_training(args.data, config)
 
     ckpt = Path(args.out)
     pipeline.save_trained(ckpt, result, config)
@@ -121,21 +121,23 @@ def cmd_train(args) -> int:
     metrics.write_report_csv(f"{stem}_metrics.csv", result.cm, comments)
     synthdata.write_manifest(f"{stem}_manifest.csv", result.data.manifest, comments, end="\n")
 
-    acc = metrics.accuracy(result.cm)
-    rk_value = float(metrics.rk(result.cm))
     print(f"trained {config.model_preset}: stopped epoch {result.history.stopped_epoch}, "
-          f"restored epoch {result.history.restored_from_epoch}, "
-          f"test accuracy {acc:.4f}, R_K {rk_value:.4f}")
+          f"restored epoch {result.history.best_epoch}, "
+          f"test accuracy {metrics.accuracy(result.cm):.4f}, R_K {metrics.rk(result.cm):.4f}")
     print(f"checkpoint: {ckpt}")
     return 0
 
 
 def _eval_config(model: Model, path) -> PipelineConfig:
     """The override config at `path`, which must build the checkpoint's
-    model: eval runs that model, and the report's header names the config."""
+    model from images of its shape: eval runs that model on the config's
+    images, and the report's header names the config.  Checked before any
+    trial file is read."""
     config = load_config(path)
-    built = config.preset().spec_lines() + [f"dtype {config.dtype}"]
-    loaded = model.spec_lines() + [f"dtype {np.dtype(model.dtype).name}"]
+    shape = image_shape(config.target_frames, config.image_width)
+    built = [f"input shape {shape}", *config.preset().spec_lines(), f"dtype {config.dtype}"]
+    loaded = [f"input shape {model.input_shape}", *model.spec_lines(),
+              f"dtype {np.dtype(model.dtype).name}"]
     for got, want in zip_longest(built, loaded, fillvalue="no layer"):
         if got != want:
             raise CheckpointMismatchError(f"{path}: builds {got!r} where the checkpoint's "
@@ -151,9 +153,7 @@ def cmd_eval(args) -> int:
     cm, _ = pipeline.evaluate_checkpoint(model, config, scaler, trials, manifest)
     if args.out:
         metrics.write_report_csv(args.out, cm, _comment_header(config))
-    acc = metrics.accuracy(cm)
-    rk_value = float(metrics.rk(cm))
-    print(f"test accuracy {acc:.4f}, R_K {rk_value:.4f}")
+    print(f"test accuracy {metrics.accuracy(cm):.4f}, R_K {metrics.rk(cm):.4f}")
     for name, cls, value in metrics.report_rows(cm):
         if cls:
             print(f"{name}[{cls}] = {value:.4f}")
@@ -165,7 +165,6 @@ def cmd_saliency(args) -> int:
     # the test trials of the class alone: the checkpoint's scaler is fixed,
     # so each trial's image is the one a whole test split would give it
     trials, manifest, positions = pipeline.load_test_split(args.data, config, args.class_name)
-    pipeline.check_geometry(model, config)
     data = pipeline.prepare(trials, manifest, config, scaler=scaler)
     outputs = pipeline.saliency_for_class(model, data, args.class_name)
 
@@ -183,12 +182,11 @@ def cmd_saliency(args) -> int:
     return 0
 
 
-_GRID_PARSERS = {
-    "lambdas": lambda v: tuple(float(x) for x in v.split(",")),
-    "alphas": lambda v: tuple(float(x) for x in v.split(",")),
-    "dropouts": lambda v: tuple(float(x) for x in v.split(",")),
-    "repeats": int,
-}
+def _floats(value: str) -> tuple[float, ...]:
+    return tuple(float(x) for x in value.split(","))
+
+
+_GRID_PARSERS = {"lambdas": _floats, "alphas": _floats, "dropouts": _floats, "repeats": int}
 
 
 def load_grid(path, config: PipelineConfig) -> hypertune.GridSpec:
@@ -211,8 +209,8 @@ def load_grid(path, config: PipelineConfig) -> hypertune.GridSpec:
 def cmd_tune(args) -> int:
     config = PipelineConfig() if args.config is None else load_config(args.config)
     grid = load_grid(args.grid, config)  # every grid value is checked before the data loads
-    trials, manifest = pipeline.load_split(args.data, config)
-    data = pipeline.prepare(trials, manifest, config)
+    # no local holds the raw trials: they are freed once prepare returns
+    data = pipeline.prepare(*pipeline.load_split(args.data, config), config)
     results = hypertune.grid_search(grid, data.images, data.labels, data.train_idx, data.test_idx)
 
     out = Path(args.out)

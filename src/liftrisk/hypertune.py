@@ -78,7 +78,7 @@ def grid_search(grid: GridSpec, images: np.ndarray, labels: np.ndarray,
             results.append(cell)
             continue
         cm = pipeline.score(model, images, labels, test_rows)
-        cell.rk = float(metrics.rk(cm))
+        cell.rk = metrics.rk(cm)
         cell.accuracy = metrics.accuracy(cm)
         cell.final_loss = history.losses[history.best_epoch - 1]
         cell.epochs_run = history.stopped_epoch

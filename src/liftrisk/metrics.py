@@ -9,8 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fileio import lines_text, write_file
-
-DEFAULT_CLASS_NAMES = ("low", "medium", "high")
+from .synthdata import RISK_CLASSES
 
 
 @dataclass
@@ -18,7 +17,7 @@ class ConfusionMatrix:
     """K x K counts, rows = true class, columns = predicted class."""
 
     counts: np.ndarray
-    class_names: tuple[str, ...] = DEFAULT_CLASS_NAMES
+    class_names: tuple[str, ...] = RISK_CLASSES
 
     def __post_init__(self):
         self.counts = np.asarray(self.counts, dtype=np.int64)
@@ -46,18 +45,7 @@ class ClassTally:
     tn: int
 
 
-@dataclass
-class MetricValue:
-    """A statistic plus a flag marking zero-denominator (degenerate) cases."""
-
-    value: float
-    degenerate: bool = False
-
-    def __float__(self) -> float:
-        return float(self.value)
-
-
-def confusion(preds, truths, k: int, class_names=DEFAULT_CLASS_NAMES) -> ConfusionMatrix:
+def confusion(preds, truths, k: int, class_names=RISK_CLASSES) -> ConfusionMatrix:
     preds = np.asarray(preds, dtype=np.int64)
     truths = np.asarray(truths, dtype=np.int64)
     if preds.shape != truths.shape:
@@ -77,29 +65,23 @@ def class_tally(c: ConfusionMatrix, k: int) -> ClassTally:
     return ClassTally(tp=tp, fp=fp, fn=fn, tn=tn)
 
 
-def precision(c: ConfusionMatrix, k: int) -> MetricValue:
+def precision(c: ConfusionMatrix, k: int) -> float:
     t = class_tally(c, k)
     denom = t.tp + t.fp
-    if denom == 0:
-        return MetricValue(0.0, degenerate=True)
-    return MetricValue(t.tp / denom)
+    return t.tp / denom if denom else 0.0
 
 
-def recall(c: ConfusionMatrix, k: int) -> MetricValue:
+def recall(c: ConfusionMatrix, k: int) -> float:
     t = class_tally(c, k)
     denom = t.tp + t.fn
-    if denom == 0:
-        return MetricValue(0.0, degenerate=True)
-    return MetricValue(t.tp / denom)
+    return t.tp / denom if denom else 0.0
 
 
-def f_measure(c: ConfusionMatrix, k: int) -> MetricValue:
+def f_measure(c: ConfusionMatrix, k: int) -> float:
     p = precision(c, k)
     r = recall(c, k)
-    denom = p.value + r.value
-    if denom == 0.0:
-        return MetricValue(0.0, degenerate=True)
-    return MetricValue(2.0 * p.value * r.value / denom, degenerate=p.degenerate or r.degenerate)
+    denom = p + r
+    return 2.0 * p * r / denom if denom else 0.0
 
 
 def accuracy(c: ConfusionMatrix) -> float:
@@ -109,15 +91,15 @@ def accuracy(c: ConfusionMatrix) -> float:
     return float(np.trace(c.counts)) / total
 
 
-def rk(c: ConfusionMatrix) -> MetricValue:
+def rk(c: ConfusionMatrix) -> float:
     """K-category correlation of a confusion matrix.
 
     The numerator is the literal triple sum over (k, l, m) of
     C[k,k]*C[l,m] - C[k,l]*C[m,k]; the denominator factors are
     sqrt(sum_k t_k*(N - t_k)) over true-class marginals t and the same
     over predicted-class marginals.  Cheap at K=3 and the same brute-force
-    form doubles as the oracle in the property tests.  Returns 0 with the
-    degenerate flag when only one class was observed or only one predicted.
+    form doubles as the oracle in the property tests.  Returns 0.0 when only
+    one class was observed or only one predicted.
     """
     cm = c.counts.astype(np.float64)
     k = c.k
@@ -132,8 +114,8 @@ def rk(c: ConfusionMatrix) -> MetricValue:
     den_true = float(np.sum(t_marg * (n - t_marg)))
     den_pred = float(np.sum(p_marg * (n - p_marg)))
     if den_true == 0.0 or den_pred == 0.0:
-        return MetricValue(0.0, degenerate=True)
-    return MetricValue(num / (np.sqrt(den_true) * np.sqrt(den_pred)))
+        return 0.0
+    return float(num / (np.sqrt(den_true) * np.sqrt(den_pred)))
 
 
 def report_rows(c: ConfusionMatrix) -> list[tuple[str, str, float]]:
@@ -141,9 +123,9 @@ def report_rows(c: ConfusionMatrix) -> list[tuple[str, str, float]]:
     rows: list[tuple[str, str, float]] = []
     for name, fn in (("precision", precision), ("recall", recall), ("f_measure", f_measure)):
         for i, cls in enumerate(c.class_names):
-            rows.append((name, cls, float(fn(c, i))))
+            rows.append((name, cls, fn(c, i)))
     rows.append(("accuracy", "", accuracy(c)))
-    rows.append(("r_k", "", float(rk(c))))
+    rows.append(("r_k", "", rk(c)))
     return rows
 
 

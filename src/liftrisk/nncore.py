@@ -86,17 +86,20 @@ def softmax_output(x: np.ndarray) -> np.ndarray:
 
 
 class Layer:
-    """Shape-aware layer; params/grads are parallel lists of arrays."""
+    """Shape-aware layer; params/grads are parallel lists of arrays.
+
+    PARAMS names the attributes holding the trained arrays, in gradient
+    order, and STATE the untrained arrays that a checkpoint keeps too (BN's
+    running statistics); the checkpoint stores both under these names."""
+
+    PARAMS: tuple[str, ...] = ()
+    STATE: tuple[str, ...] = ()
 
     def build(self, in_shape: tuple, rng: np.random.Generator, dtype) -> tuple:
         raise NotImplementedError
 
     def params(self) -> list[np.ndarray]:
-        return []
-
-    def state(self) -> list[np.ndarray]:
-        """Non-trained arrays that must survive checkpointing (BN stats)."""
-        return []
+        return [getattr(self, name) for name in self.PARAMS]
 
     def forward(self, x: np.ndarray, train: bool, rng: np.random.Generator | None):
         raise NotImplementedError
@@ -120,6 +123,8 @@ def _glorot(rng: np.random.Generator, shape: tuple, fan_in: int, fan_out: int, d
 class Conv2D(Layer):
     """3x3 same-padding stride-1 convolution with ReLU."""
 
+    PARAMS = ("w", "b")
+
     def __init__(self, filters: int):
         if filters < 1:
             raise ValueError(f"filters must be >= 1, got {filters}")
@@ -133,9 +138,6 @@ class Conv2D(Layer):
         self.w = _glorot(rng, (3, 3, cin, self.filters), fan, 9 * self.filters, dtype)
         self.b = np.zeros(self.filters, dtype=dtype)
         return (h, w, self.filters)
-
-    def params(self):
-        return [self.w, self.b]
 
     def forward(self, x, train, rng):
         # the cache keeps the input, not its 9x larger patch matrix: backward
@@ -263,6 +265,8 @@ class Flatten(Layer):
 
 
 class Dense(Layer):
+    PARAMS = ("w", "b")
+
     def __init__(self, units: int, activation: str = "none"):
         if activation not in ("relu", "none"):
             raise ValueError(f"unknown activation {activation!r}")
@@ -278,9 +282,6 @@ class Dense(Layer):
         self.w = _glorot(rng, (n, self.units), n, self.units, dtype)
         self.b = np.zeros(self.units, dtype=dtype)
         return (self.units,)
-
-    def params(self):
-        return [self.w, self.b]
 
     def forward(self, x, train, rng):
         z = x @ self.w + self.b
@@ -300,6 +301,9 @@ class Dense(Layer):
 
 
 class BatchNorm(Layer):
+    PARAMS = ("gamma", "beta")
+    STATE = ("running_mean", "running_var")
+
     def __init__(self):
         self.gamma = None
         self.beta = None
@@ -313,12 +317,6 @@ class BatchNorm(Layer):
         self.running_mean = np.zeros(n, dtype=dtype)
         self.running_var = np.ones(n, dtype=dtype)
         return in_shape
-
-    def params(self):
-        return [self.gamma, self.beta]
-
-    def state(self):
-        return [self.running_mean, self.running_var]
 
     def forward(self, x, train, rng):
         if train:
@@ -366,6 +364,8 @@ class SoftmaxOutput(Layer):
     seed a single logit for saliency.
     """
 
+    PARAMS = ("w", "b")
+
     def __init__(self, classes: int, l2_lambda: float = 0.0):
         if not 0 <= l2_lambda < math.inf:
             raise ValueError(f"l2_lambda must be finite and >= 0, got {l2_lambda}")
@@ -380,16 +380,11 @@ class SoftmaxOutput(Layer):
         self.b = np.zeros(self.classes, dtype=dtype)
         return (self.classes,)
 
-    def params(self):
-        return [self.w, self.b]
-
     def forward(self, x, train, rng):
-        logits = x @ self.w + self.b
-        probs = softmax_output(logits).astype(x.dtype)
-        return probs, (x, logits, probs)
+        return softmax_output(x @ self.w + self.b).astype(x.dtype), x
 
     def backward(self, dlogits, cache, need_dx=True, need_grads=True):
-        x, _, _ = cache
+        x = cache
         grads = None
         if need_grads:
             grads = [x.T @ dlogits + 2.0 * self.l2_lambda * self.w, dlogits.sum(axis=0)]
@@ -401,6 +396,13 @@ class SoftmaxOutput(Layer):
 
 # ---------------------------------------------------------------------------
 # Model
+
+
+def _layer_tensors(model: Model) -> list[tuple[str, np.ndarray]]:
+    """(name, array) of every layer's PARAMS then STATE arrays, layer by
+    layer: the order of snapshots and of the checkpoint."""
+    return [(f"layer{i:02d}.{name}", getattr(layer, name))
+            for i, layer in enumerate(model.layers) for name in (*layer.PARAMS, *layer.STATE)]
 
 
 class Model:
@@ -502,12 +504,12 @@ class Model:
         return dout
 
     def snapshot(self) -> list[np.ndarray]:
-        return [a.copy() for layer in self.layers for a in (*layer.params(), *layer.state())]
+        return [a.copy() for _, a in _layer_tensors(self)]
 
     def restore(self, snap: list[np.ndarray]) -> None:
         """Copy a snapshot back in place; existing array references (e.g. an
         optimizer's view of params()) stay valid."""
-        arrays = [a for layer in self.layers for a in (*layer.params(), *layer.state())]
+        arrays = [a for _, a in _layer_tensors(self)]
         if len(arrays) != len(snap):
             raise ValueError("snapshot does not match model structure")
         for dst, src in zip(arrays, snap):
@@ -590,21 +592,6 @@ def _model_lines(model: Model) -> list[str]:
     return [f"layers {len(spec)}", *spec,
             "input_shape " + " ".join(str(d) for d in model.input_shape),
             f"dtype {np.dtype(model.dtype).name}"]
-
-
-def _tensor_names(layer: Layer) -> list[str]:
-    if isinstance(layer, Conv2D) or isinstance(layer, Dense) or isinstance(layer, SoftmaxOutput):
-        return ["w", "b"]
-    if isinstance(layer, BatchNorm):
-        return ["gamma", "beta", "running_mean", "running_var"]
-    return []
-
-
-def _layer_tensors(model: Model) -> list[tuple[str, np.ndarray]]:
-    """(name, array) of every parameter and state array, in checkpoint order."""
-    return [(f"layer{i:02d}.{name}", arr)
-            for i, layer in enumerate(model.layers)
-            for name, arr in zip(_tensor_names(layer), (*layer.params(), *layer.state()))]
 
 
 def load_checkpoint(path, build_model: Callable[[list[str]], Model],

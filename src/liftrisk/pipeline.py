@@ -66,7 +66,7 @@ def load_test_split(directory, config: PipelineConfig, class_name: str | None = 
     positions = [i for i, e in enumerate(manifest.entries) if e.split == "test"]
     if class_name is not None:
         positions = [i for i in positions
-                     if synthdata.zone_to_risk(manifest.entries[i].zone).value == class_name]
+                     if synthdata.zone_to_risk(manifest.entries[i].zone) == class_name]
         if not positions:
             raise DataError(f"no test-split images of class {class_name!r} in {directory}",
                             path=str(directory))
@@ -101,8 +101,8 @@ def prepare(trials, manifest: Manifest, config: PipelineConfig,
         row[...] = e.pixels
         e.pixels = row
         encoded.append(e)
-    labels = np.array([synthdata.zone_to_risk(e.zone).index for e in manifest.entries],
-                      dtype=np.int64)
+    labels = np.array([RISK_CLASSES.index(synthdata.zone_to_risk(e.zone))
+                       for e in manifest.entries], dtype=np.int64)
     return PreparedData(images=images, labels=labels, encoded=encoded, manifest=manifest,
                         train_idx=train_idx, test_idx=test_idx, scaler=scaler)
 
@@ -124,7 +124,7 @@ def score(model: Model, images: np.ndarray, labels: np.ndarray,
           rows: np.ndarray) -> metrics.ConfusionMatrix:
     """The confusion matrix of the model's predictions for `rows` of the images."""
     preds, _ = trainer.predict(model, images[rows])
-    return metrics.confusion(preds, labels[rows], k=len(RISK_CLASSES), class_names=RISK_CLASSES)
+    return metrics.confusion(preds, labels[rows], k=len(RISK_CLASSES))
 
 
 @dataclass
@@ -135,8 +135,10 @@ class TrainResult:
     data: PreparedData
 
 
-def run_training(trials, manifest: Manifest, config: PipelineConfig) -> TrainResult:
-    data = prepare(trials, manifest, config)
+def run_training(directory, config: PipelineConfig) -> TrainResult:
+    """Train and score the config's model on the dataset in `directory`.
+    No local holds the raw trials, so they are freed once prepare returns."""
+    data = prepare(*load_split(directory, config), config)
     model, history = fit(config, data.images, data.labels, data.train_idx)
     cm = score(model, data.images, data.labels, data.test_idx)
     return TrainResult(model=model, history=history, cm=cm, data=data)
@@ -167,21 +169,13 @@ def load_trained(path) -> tuple[Model, PipelineConfig, signals.ChannelScaler]:
     return model, config, scaler
 
 
-def check_geometry(model: Model, config: PipelineConfig) -> None:
-    """The encoded image shape must match what the checkpointed model expects."""
-    shape = imaging.image_shape(config.target_frames, config.image_width)
-    if model.input_shape != shape:
-        raise CheckpointMismatchError(
-            f"checkpoint expects image shape {model.input_shape}, "
-            f"configuration produces shape {shape}")
-
-
 def evaluate_checkpoint(model: Model, config: PipelineConfig,
                         scaler: signals.ChannelScaler, trials,
                         manifest: Manifest) -> tuple[metrics.ConfusionMatrix, PreparedData]:
     """Evaluate on the manifest's test split (re-derived from the checkpoint
-    config when the manifest carries no split)."""
-    check_geometry(model, config)
+    config when the manifest carries no split).  The config must encode
+    images of the model's input shape, as the checkpoint's own config and
+    every override that `liftrisk eval` accepts do."""
     data = prepare(trials, manifest, config, scaler=scaler)
     return score(model, data.images, data.labels, data.test_idx), data
 

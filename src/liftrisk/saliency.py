@@ -23,14 +23,12 @@ from .signals import N_SENSORS, SENSOR_NAMES
 class SaliencyMap:
     w: np.ndarray          # [H, W, 3] d(score)/d(pixel)
     magnitude: np.ndarray  # [H, W] max-abs over channels
-    class_index: int
 
 
 @dataclass
 class SensorAttribution:
-    per_sensor: np.ndarray        # [12] summed magnitude over non-padded cells
-    per_sensor_frame: np.ndarray  # [12, frames]
-    ranking: list[int]            # sensor indices, descending total
+    per_sensor: np.ndarray  # [12] summed magnitude over non-padded cells
+    ranking: list[int]      # sensor indices, descending total
 
 
 def class_score_gradient(model: Model, img: EncodedImage, class_index: int) -> SaliencyMap:
@@ -38,7 +36,7 @@ def class_score_gradient(model: Model, img: EncodedImage, class_index: int) -> S
     inference mode (dropout off, batch norm on running statistics)."""
     grad = model.logit_input_gradient(img.pixels[None], class_index)[0]
     grad = np.asarray(grad, dtype=np.float64)
-    return SaliencyMap(w=grad, magnitude=np.abs(grad).max(axis=2), class_index=class_index)
+    return SaliencyMap(w=grad, magnitude=np.abs(grad).max(axis=2))
 
 
 def mean_magnitude(maps: list[SaliencyMap]) -> np.ndarray:
@@ -49,11 +47,9 @@ def mean_magnitude(maps: list[SaliencyMap]) -> np.ndarray:
 
 def sensor_attribution(magnitude: np.ndarray, img: EncodedImage) -> SensorAttribution:
     """Sum attribution magnitude per sensor; padding cells contribute nothing."""
-    per_sensor_frame = unwrap_attribution(magnitude, img)
-    per_sensor = per_sensor_frame.sum(axis=1)
-    ranking = list(np.argsort(-per_sensor, kind="stable"))
-    return SensorAttribution(per_sensor=per_sensor, per_sensor_frame=per_sensor_frame,
-                             ranking=[int(i) for i in ranking])
+    per_sensor = unwrap_attribution(magnitude, img).sum(axis=1)
+    ranking = np.argsort(-per_sensor, kind="stable")
+    return SensorAttribution(per_sensor=per_sensor, ranking=[int(i) for i in ranking])
 
 
 def export_saliency(magnitude: np.ndarray, path) -> None:

@@ -74,12 +74,8 @@ class Section:
 
 @dataclass
 class BandpassFilter:
-    order: int
-    low_hz: float
-    high_hz: float
     sample_rate_hz: float
     sections: list[Section]
-    high_clamped: bool = False
 
 
 def check_band(order: int, low_hz: float, high_hz: float, sample_rate_hz: float) -> None:
@@ -107,11 +103,10 @@ def design_bandpass(order: int, low_hz: float, high_hz: float,
     and split evenly across sections.
 
     An upper edge at or above Nyquist is clamped to 0.99*Nyquist with a
-    warning (recorded on the returned filter) rather than rejected.
+    warning, which names the clamped edge, rather than rejected.
     """
     check_band(order, low_hz, high_hz, sample_rate_hz)
     nyquist = sample_rate_hz / 2.0
-    clamped = False
     if high_hz >= nyquist:
         clamped_hz = 0.99 * nyquist
         warnings.warn(
@@ -120,7 +115,6 @@ def design_bandpass(order: int, low_hz: float, high_hz: float,
             stacklevel=2,
         )
         high_hz = clamped_hz
-        clamped = True
 
     # Pre-warped analog band edges (bilinear convention s = (z-1)/(z+1)).
     wl = math.tan(math.pi * low_hz / sample_rate_hz)
@@ -158,9 +152,7 @@ def design_bandpass(order: int, low_hz: float, high_hz: float,
         s.b1 *= per_section
         s.b2 *= per_section
 
-    f = BandpassFilter(order=order, low_hz=low_hz, high_hz=high_hz,
-                       sample_rate_hz=sample_rate_hz, sections=sections,
-                       high_clamped=clamped)
+    f = BandpassFilter(sample_rate_hz=sample_rate_hz, sections=sections)
     for s in f.sections:
         if any(abs(p) >= 1.0 for p in s.poles()):
             raise ValueError("designed filter is unstable (pole on or outside unit circle)")

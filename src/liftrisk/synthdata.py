@@ -36,19 +36,11 @@ N_ZONES = len(ZONE_RISK)
 SPLIT_VALUES = ("train", "test", "unassigned")
 
 
-@dataclass(frozen=True)
-class RiskLabel:
-    value: str
-
-    @property
-    def index(self) -> int:
-        return RISK_CLASSES.index(self.value)
-
-
-def zone_to_risk(zone: int) -> RiskLabel:
+def zone_to_risk(zone: int) -> str:
+    """The risk class name of a lifting zone."""
     if zone not in ZONE_RISK:
         raise ValueError(f"zone must be in [1, 12], got {zone}")
-    return RiskLabel(value=ZONE_RISK[zone])
+    return ZONE_RISK[zone]
 
 
 @dataclass
@@ -163,12 +155,12 @@ def generate_dataset(p: DatasetProfile, g: GeneratorParams | None = None,
     entries: list[ManifestEntry] = []
     for subject in range(p.n_subjects):
         for zone in range(1, N_ZONES + 1):
-            label = zone_to_risk(zone)
+            class_idx = RISK_CLASSES.index(zone_to_risk(zone))
             for idx in range(p.trials_per_zone_per_subject):
                 duration = rng.uniform(p.duration_low_s, p.duration_high_s)
                 n_frames = int(round(duration * fs))
                 channels = rng.normal(0.0, g.noise_sd, size=(N_CHANNELS, n_frames))
-                _add_lift_events(channels, rng, g, label.index, fs, duration,
+                _add_lift_events(channels, rng, g, class_idx, fs, duration,
                                  subject_gain[subject], subject_offset[subject])
                 trials.append(TrialRecording(channels))
                 entries.append(ManifestEntry(

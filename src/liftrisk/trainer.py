@@ -61,9 +61,8 @@ class TrainConfig:
 class TrainHistory:
     losses: list[float] = field(default_factory=list)       # per epoch, 1-indexed
     accuracies: list[float] = field(default_factory=list)
-    best_epoch: int = 0
+    best_epoch: int = 0     # the epoch whose parameters training restores
     stopped_epoch: int = 0
-    restored_from_epoch: int = 0
 
 
 def loss(probs: np.ndarray, onehot: np.ndarray, model: Model | None, l2_lambda: float) -> float:
@@ -238,7 +237,6 @@ def train(model: Model, images: np.ndarray, labels: np.ndarray,
 
     model.restore(best_snapshot)
     history.best_epoch = stopper.best_epoch
-    history.restored_from_epoch = stopper.best_epoch
     return history
 
 
@@ -254,9 +252,10 @@ def predict(model: Model, images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def write_history_csv(path, history: TrainHistory, comments=()) -> None:
     """History as CSV (epoch, loss, accuracy) between optional '#' header
-    lines and '#' trailer lines of the best, stopped and restored epochs."""
+    lines and '#' trailer lines of the best, stopped and restored epochs;
+    training restores the best epoch."""
     rows = [f"{i},{lv!r},{av!r}"
             for i, (lv, av) in enumerate(zip(history.losses, history.accuracies), start=1)]
-    trailer = [f"# {k},{getattr(history, k)}"
-               for k in ("best_epoch", "stopped_epoch", "restored_from_epoch")]
+    trailer = [f"# best_epoch,{history.best_epoch}", f"# stopped_epoch,{history.stopped_epoch}",
+               f"# restored_from_epoch,{history.best_epoch}"]
     write_file(path, lines_text(["epoch,loss,accuracy", *rows, *trailer], comments))

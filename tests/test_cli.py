@@ -164,16 +164,19 @@ class TestEval:
 
     def test_width_mismatch_exit_5(self, trained, tiny_dataset_dir, tiny_config, tmp_path,
                                    capsys):
-        # the checkpoint holds (45, 16, 3): 12 * 60 frames wrapped at width 16
+        # the checkpoint holds (45, 16, 3): 12 * 60 frames wrapped at width 16.  The
+        # dataset has no trial file: the mismatch is found before any is read
+        data = tmp_path / "no_trials"
+        shutil.copytree(tiny_dataset_dir, data)
+        shutil.rmtree(data / "trials")
         for override, shape in [({"image_width": 20}, (36, 20, 3)),
                                 ({"target_frames": 80}, (60, 16, 3))]:
             path = tmp_path / "override.txt"
             path.write_text("\n".join(replace(tiny_config, **override).to_lines()) + "\n")
-            rc = run(["eval", "--model", str(trained), "--data", str(tiny_dataset_dir),
-                      "--config", str(path)])
+            rc = run(["eval", "--model", str(trained), "--data", str(data), "--config", str(path)])
             assert rc == cli.EXIT_MISMATCH
             err = capsys.readouterr().err
-            assert str((45, 16, 3)) in err and str(shape) in err
+            assert "override.txt" in err and str((45, 16, 3)) in err and str(shape) in err
 
     def test_truncated_checkpoint_exit_5(self, trained, tiny_dataset_dir, tmp_path, capsys):
         cut = tmp_path / "cut.ckpt"

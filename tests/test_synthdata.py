@@ -27,8 +27,7 @@ class TestZoneToRisk:
         (1, "high"), (2, "high"), (3, "high"), (10, "high"), (11, "high"), (12, "high"),
     ])
     def test_mapping(self, zone, expected):
-        label = zone_to_risk(zone)
-        assert label.value == expected
+        assert zone_to_risk(zone) == expected
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
@@ -37,9 +36,9 @@ class TestZoneToRisk:
             zone_to_risk(13)
 
     def test_class_indices(self):
-        assert zone_to_risk(5).index == 0
-        assert zone_to_risk(7).index == 1
-        assert zone_to_risk(11).index == 2
+        assert synthdata.RISK_CLASSES.index(zone_to_risk(5)) == 0
+        assert synthdata.RISK_CLASSES.index(zone_to_risk(7)) == 1
+        assert synthdata.RISK_CLASSES.index(zone_to_risk(11)) == 2
 
 
 class TestGenerate:
@@ -49,7 +48,7 @@ class TestGenerate:
         assert len(trials) == 720
         counts = {"low": 0, "medium": 0, "high": 0}
         for e in manifest.entries:
-            counts[zone_to_risk(e.zone).value] += 1
+            counts[zone_to_risk(e.zone)] += 1
         assert counts == {"low": 120, "medium": 240, "high": 360}
         assert profile.class_counts() == counts
 
@@ -80,7 +79,7 @@ class TestGenerate:
         energy = {"low": [], "medium": [], "high": []}
         for t, e in zip(trials, manifest.entries):
             y = signals.filter_trial(t, f)
-            energy[zone_to_risk(e.zone).value].append(float(np.mean(y.channels[back] ** 2)))
+            energy[zone_to_risk(e.zone)].append(float(np.mean(y.channels[back] ** 2)))
         lo, mid, hi = (np.mean(energy[c]) for c in ("low", "medium", "high"))
         # strict ordering with margin, not just strict
         assert lo * 1.5 < mid

@@ -231,7 +231,7 @@ class TestTrainLoop:
                           learning_rate=5e-2)
         model = tiny_mlp(seed=7)
         history = train(model, images, labels, cfg)
-        assert history.restored_from_epoch == int(np.argmin(history.losses)) + 1
+        assert history.best_epoch == int(np.argmin(history.losses)) + 1
         onehot = np.eye(3)[labels]
         final_loss, _ = trainer.evaluate(model, images.astype(model.dtype), onehot, 0.0)
         assert final_loss == pytest.approx(min(history.losses), abs=1e-9)
@@ -339,7 +339,7 @@ class TestPredict:
 class TestHistoryCsv:
     def test_roundtrip_layout(self, tmp_path):
         h = trainer.TrainHistory(losses=[1.0, 0.5], accuracies=[0.4, 0.9],
-                                 best_epoch=2, stopped_epoch=2, restored_from_epoch=2)
+                                 best_epoch=2, stopped_epoch=2)
         path = tmp_path / "history.csv"
         trainer.write_history_csv(path, h, comments=["seed = 3"])
         lines = path.read_text().splitlines()

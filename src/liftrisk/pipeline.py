@@ -77,12 +77,13 @@ def load_test_split(directory, config: PipelineConfig, class_name: str | None = 
 
 def prepare(trials, manifest: Manifest, config: PipelineConfig,
             scaler: signals.ChannelScaler | None = None) -> PreparedData:
-    """filter -> pad -> scale (fitted on the training split) -> encode."""
+    """filter and pad -> scale (fitted on the training split) -> encode."""
     manifest = assign_split(manifest, config)
     bandpass = signals.design_bandpass(config.filter_order, config.filter_low_hz,
                                        config.filter_high_hz, signals.SAMPLE_RATE_HZ)
-    processed = [signals.pad_or_truncate(signals.filter_trial(t, bandpass), config.target_frames)
-                 for t in trials]
+    # each trial a [36, target_frames] view of the one filtered array
+    filtered = signals.filter_trial(trials, bandpass, config.target_frames)
+    processed = [signals.TrialRecording(filtered[:, i].T) for i in range(len(trials))]
     train_idx = np.array([i for i, e in enumerate(manifest.entries) if e.split == "train"],
                          dtype=np.int64)
     test_idx = np.array([i for i, e in enumerate(manifest.entries) if e.split == "test"],

@@ -194,37 +194,56 @@ def frequency_response(f: BandpassFilter, freq_hz: float) -> complex:
 
 
 def filter_channel(x, f: BandpassFilter) -> np.ndarray:
-    """Causal single-pass filtering, direct form II transposed per section."""
-    y = np.asarray(x, dtype=np.float64)
+    """Causal single-pass filtering, direct form II transposed per section.
+    The input is copied, never overwritten."""
+    y = np.array(x, dtype=np.float64)
     if y.size == 0:
         raise ValueError("input sequence must be non-empty")
-    return _df2t_cascade(y[None, :], f)[0]
+    return _df2t_cascade(y[:, None], f)[:, 0]
 
 
-def _df2t_cascade(x: np.ndarray, f: BandpassFilter) -> np.ndarray:
-    """DF2T evaluation of every section in cascade, rows filtered in parallel.
+def _df2t_cascade(y: np.ndarray, f: BandpassFilter) -> np.ndarray:
+    """DF2T evaluation of every section in cascade over a float64
+    [frames, rows] array, in place, rows filtered in parallel.
 
     The time recursion cannot vectorize, so the loop runs over frames with
-    vector state across rows; identical arithmetic to the scalar recursion.
+    vector state across rows, each frame's rows contiguous; identical
+    arithmetic to the scalar recursion.
     """
-    y = np.array(x, dtype=np.float64)
-    n_rows, n_frames = y.shape
+    n_frames, n_rows = y.shape
     for s in f.sections:
         b0, b1, b2, a1, a2 = s.b0, s.b1, s.b2, s.a1, s.a2
         s1 = np.zeros(n_rows)
         s2 = np.zeros(n_rows)
         for n in range(n_frames):
-            xn = y[:, n].copy()
+            xn = y[n]
             yn = b0 * xn + s1
             s1 = b1 * xn - a1 * yn + s2
             s2 = b2 * xn - a2 * yn
-            y[:, n] = yn
+            y[n] = yn
     return y
 
 
-def filter_trial(t: TrialRecording, f: BandpassFilter) -> TrialRecording:
-    """Apply the bandpass to every channel of a trial."""
-    return TrialRecording(_df2t_cascade(t.channels, f))
+def filter_trial(trials: list[TrialRecording], f: BandpassFilter,
+                 target_frames: int) -> np.ndarray:
+    """Bandpass every trial in one sweep and pad or cut it to
+    ``target_frames``: [target_frames, N, 36] float64, trial i's filtered
+    channels in ``[:, i]``, zero past its own length.
+
+    Equal, byte for byte, to ``pad_or_truncate`` of each trial filtered on
+    its own: the filter is causal and its rows are independent.
+    """
+    if target_frames < 1:
+        raise ValueError("target_frames must be >= 1")
+    frames = min(target_frames, max((t.n_frames for t in trials), default=0))
+    out = np.zeros((target_frames, len(trials), N_CHANNELS))
+    for i, t in enumerate(trials):
+        out[:t.n_frames, i] = t.channels[:, :target_frames].T
+    _df2t_cascade(out[:frames].reshape(frames, len(trials) * N_CHANNELS), f)
+    # the filter rings into a shorter trial's zero padding
+    for i, t in enumerate(trials):
+        out[t.n_frames:, i] = 0.0
+    return out
 
 
 def pad_or_truncate(t: TrialRecording, target_frames: int) -> TrialRecording:
@@ -266,9 +285,17 @@ class ChannelScaler:
 def fit_scaler(training_trials: list[TrialRecording], mode: str = "standardize") -> ChannelScaler:
     if not training_trials:
         raise ValueError("cannot fit a scaler on an empty training set")
-    stacked = np.concatenate([t.channels for t in training_trials], axis=1)  # [36, total]
+    # C order whatever the trials' strides: a reduction's bits depend on the
+    # layout it reads
+    total = sum(t.n_frames for t in training_trials)
+    stacked = np.concatenate([t.channels for t in training_trials], axis=1,
+                             out=np.empty((N_CHANNELS, total)))
     if mode == "standardize":
-        params = np.stack([stacked.mean(axis=1), stacked.std(axis=1)], axis=1)
+        # ndarray.std's own steps, with the deviations squared in place of
+        # a second stacked copy
+        mean = stacked.mean(axis=1, keepdims=True)
+        np.square(np.subtract(stacked, mean, out=stacked), out=stacked)
+        params = np.stack([mean[:, 0], np.sqrt(stacked.mean(axis=1))], axis=1)
     elif mode == "minmax":
         params = np.stack([stacked.min(axis=1), stacked.max(axis=1)], axis=1)
     else:

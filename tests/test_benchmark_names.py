@@ -1,6 +1,7 @@
 """Every liftrisk name the benchmark in perfbench/ wraps, hooks or calls
-still resolves, read from the benchmark's own files: a rename fails here
-instead of first failing in a traced benchmark run."""
+still resolves, read from the benchmark's own files, and `pipeline.prepare`
+still calls each stage the benchmark times: a rename or a refactor fails
+here instead of first failing in a traced benchmark run."""
 
 import ast
 import importlib
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import liftrisk.cli  # noqa: F401  (loads every module the benchmark wraps)
+from liftrisk import imaging, pipeline, signals, synthdata
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -76,3 +78,29 @@ def test_names_were_found():
 @pytest.mark.parametrize("name", PINNED)
 def test_benchmark_name_resolves(name):
     assert callable(resolve(name)), f"liftrisk.{name} is not callable"
+
+
+# the functions whose wrapped calls make prepare's stage metrics
+# (signals.bandpass_s, signals.scale_s, imaging.encode_s)
+PREPARE_STAGES = [(signals, "filter_trial"), (signals, "fit_scaler"), (signals, "apply_scaler"),
+                  (imaging, "to_channel_matrix"), (imaging, "wrap_image")]
+
+
+def test_prepare_calls_each_timed_stage(tiny_dataset_dir, tiny_config, monkeypatch):
+    calls = {name: [] for _, name in PREPARE_STAGES}
+    for module, name in PREPARE_STAGES:
+        assert name in PROBE.LAYER_CALLS[module.__name__.rsplit(".", 1)[1]]
+
+        def spy(*args, _name=name, _fn=getattr(module, name), **kwargs):
+            calls[_name].append(args)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, spy)
+    trials, manifest = synthdata.load_dataset(tiny_dataset_dir)
+    pipeline.prepare(trials, manifest, tiny_config)
+    # the bandpass is one call over every trial
+    assert len(calls["filter_trial"]) == 1
+    filtered = calls["filter_trial"][0][0]
+    assert len(filtered) == len(trials) and all(a is b for a, b in zip(filtered, trials))
+    assert len(calls["fit_scaler"]) == 1
+    for name in ("apply_scaler", "to_channel_matrix", "wrap_image"):
+        assert len(calls[name]) == len(trials), name

@@ -18,10 +18,11 @@ def test_encoded_pixels_are_rows_of_images(tiny_dataset_dir, tiny_config):
     for i, (trial, e) in enumerate(zip(trials, data.encoded)):
         assert np.shares_memory(data.images, e.pixels)
         assert np.shares_memory(data.images[i], e.pixels)
-        # the trial encoded on its own, as prepare encodes it
+        # the trial filtered channel by channel and encoded on its own
+        filtered = signals.TrialRecording([signals.filter_channel(c, bandpass)
+                                           for c in trial.channels])
         scaled = signals.apply_scaler(
-            signals.pad_or_truncate(signals.filter_trial(trial, bandpass),
-                                    tiny_config.target_frames), data.scaler)
+            signals.pad_or_truncate(filtered, tiny_config.target_frames), data.scaler)
         want = imaging.wrap_image(imaging.to_channel_matrix(scaled), tiny_config.image_width)
         assert data.images[i].tobytes() == want.pixels.tobytes()
         assert (e.pixels.shape, e.frames, e.width) == (want.pixels.shape, want.frames, want.width)

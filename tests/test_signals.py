@@ -4,6 +4,8 @@ equation evaluated term by term."""
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import signal as sp_signal
 
 from liftrisk import signals
@@ -151,13 +153,49 @@ class TestFilterChannel:
         with pytest.raises(ValueError):
             filter_channel(np.array([]), f)
 
+    def test_input_unchanged(self):
+        rng = np.random.default_rng(16)
+        x = rng.normal(size=200)
+        before = x.copy()
+        filter_channel(x, design_bandpass(2, 2, 12, 25))
+        assert x.tobytes() == before.tobytes()
+
     def test_filter_trial_matches_per_channel(self):
         rng = np.random.default_rng(7)
         f = design_bandpass(2, 2, 12, 25)
         t = random_trial(rng, frames=120)
-        ft = signals.filter_trial(t, f)
+        ft = make_trial(signals.filter_trial([t], f, t.n_frames)[:, 0].T)
         for c in range(36):
             assert np.array_equal(ft.channels[c], filter_channel(t.channels[c], f))
+
+
+def per_trial_reference(trials, f, target_frames):
+    """[target_frames, N, 36]: each trial filtered channel by channel, then
+    padded or cut on its own."""
+    return np.stack([pad_or_truncate(make_trial([filter_channel(c, f) for c in t.channels]),
+                                     target_frames).channels.T for t in trials], axis=1)
+
+
+class TestFilterTrial:
+    @given(lengths=st.lists(st.integers(1, 16), min_size=1, max_size=4),
+           target_frames=st.integers(1, 12), order=st.integers(1, 3),
+           seed=st.integers(0, 2**32 - 1))
+    @example(lengths=[1, 7, 8, 13], target_frames=8, order=2, seed=0)
+    @settings(max_examples=100)
+    def test_matches_per_trial_reference(self, lengths, target_frames, order, seed):
+        rng = np.random.default_rng(seed)
+        f = design_bandpass(order, 2, 12, 25)
+        trials = [random_trial(rng, frames=n) for n in lengths]
+        got = signals.filter_trial(trials, f, target_frames)
+        want = per_trial_reference(trials, f, target_frames)
+        # bytes, so that a signed zero in the padding counts
+        assert got.shape == want.shape == (target_frames, len(trials), 36)
+        assert got.tobytes() == want.tobytes()
+
+    def test_rejects_nonpositive_target(self):
+        rng = np.random.default_rng(17)
+        with pytest.raises(ValueError):
+            signals.filter_trial([random_trial(rng)], design_bandpass(2, 2, 12, 25), 0)
 
 
 class TestPadOrTruncate:
@@ -239,6 +277,26 @@ class TestScaler:
     def test_empty_training_set_rejected(self):
         with pytest.raises(ValueError):
             fit_scaler([], mode="standardize")
+
+    @pytest.mark.parametrize("mode", signals.SCALER_MODES)
+    @given(frames=st.integers(1, 400), n_trials=st.integers(1, 8),
+           seed=st.integers(0, 2**32 - 1))
+    @example(frames=250, n_trials=6, seed=15)
+    @settings(max_examples=40)
+    def test_fit_on_strided_views_matches_contiguous(self, mode, frames, n_trials, seed):
+        """prepare fits on [36, frames] views of a frame-major array; the
+        fit must not depend on their strides."""
+        rng = np.random.default_rng(seed)
+        frame_major = rng.normal(3.0, 2.0, size=(frames, n_trials, 36))
+        views = [make_trial(frame_major[:, i].T) for i in range(n_trials)]
+        copies = [make_trial(np.ascontiguousarray(v.channels)) for v in views]
+        stacked = np.concatenate([t.channels for t in copies], axis=1)
+        if mode == "standardize":
+            want = np.stack([stacked.mean(axis=1), stacked.std(axis=1)], axis=1)
+        else:
+            want = np.stack([stacked.min(axis=1), stacked.max(axis=1)], axis=1)
+        assert fit_scaler(views, mode).params.tobytes() == want.tobytes()
+        assert fit_scaler(copies, mode).params.tobytes() == want.tobytes()
 
     def test_fit_uses_all_trials(self):
         t1 = make_trial(np.full((36, 10), 0.0))

@@ -149,8 +149,7 @@ def cmd_eval(args) -> int:
     model, config, scaler = pipeline.load_trained(args.model)
     if args.config is not None:
         config = _eval_config(model, args.config)
-    trials, manifest, _ = pipeline.load_test_split(args.data, config)
-    cm, _ = pipeline.evaluate_checkpoint(model, config, scaler, trials, manifest)
+    cm = pipeline.evaluate_checkpoint(model, config, scaler, args.data)
     if args.out:
         metrics.write_report_csv(args.out, cm, _comment_header(config))
     print(f"test accuracy {metrics.accuracy(cm):.4f}, R_K {metrics.rk(cm):.4f}")
@@ -164,8 +163,7 @@ def cmd_saliency(args) -> int:
     model, config, scaler = pipeline.load_trained(args.model)
     # the test trials of the class alone: the checkpoint's scaler is fixed,
     # so each trial's image is the one a whole test split would give it
-    trials, manifest, positions = pipeline.load_test_split(args.data, config, args.class_name)
-    data = pipeline.prepare(trials, manifest, config, scaler=scaler)
+    data, positions = pipeline.prepare_test_split(args.data, config, scaler, args.class_name)
     outputs = pipeline.saliency_for_class(model, data, args.class_name)
 
     out = Path(args.out)

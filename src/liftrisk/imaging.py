@@ -6,6 +6,8 @@ so one instant's 12 sensor values stay contiguous) and line-wrapped into
 rows of a fixed width; the three axes become the image's color channels.
 The leftover cells at the bottom are zero padding.  The index map is exact,
 which lets saliency values route back to (sensor, frame) coordinates.
+A frame-major [frames, 36] trial, or each trial of a [frames, N, 36]
+stack, is already in that cell order: the encoding is one strided copy.
 """
 
 from __future__ import annotations
@@ -14,20 +16,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signals import N_AXES, N_SENSORS, TrialRecording
+from .signals import N_AXES, N_SENSORS
 
 
 @dataclass
 class EncodedImage:
     """Wrapped image plus the bookkeeping needed to invert the wrap."""
 
-    pixels: np.ndarray  # [H, W, 3]
+    pixels: np.ndarray  # [H, W, 3], or [..., H, W, 3] for a stack of images
     frames: int
     width: int
 
     @property
     def height(self) -> int:
-        return self.pixels.shape[0]
+        return self.pixels.shape[-3]
 
     @property
     def pad_start(self) -> int:
@@ -48,11 +50,11 @@ class EncodedImage:
         return k % N_SENSORS, k // N_SENSORS
 
 
-def to_channel_matrix(t: TrialRecording) -> np.ndarray:
-    """[12, frames, 3]: the 36 channels grouped as 12 sensors x 3 axes (axis k
+def to_channel_matrix(x: np.ndarray) -> np.ndarray:
+    """A view of a frame-major [frames, ..., 36] array as [..., 12, frames, 3]
+    channel matrices: the 36 channels grouped as 12 sensors x 3 axes (axis k
     of sensor s is channel 3s+k)."""
-    # [36, frames] -> [12, 3, frames] -> [12, frames, 3]
-    return t.channels.reshape(N_SENSORS, N_AXES, t.n_frames).transpose(0, 2, 1)
+    return np.moveaxis(x.reshape(*x.shape[:-1], N_SENSORS, N_AXES), 0, -2)
 
 
 def image_shape(frames: int, width: int) -> tuple[int, int, int]:
@@ -66,17 +68,17 @@ def image_shape(frames: int, width: int) -> tuple[int, int, int]:
 
 def wrap_image(values: np.ndarray, width: int) -> EncodedImage:
     """Line-wrap the time-major flattening of each axis plane of a
-    [12, frames, 3] channel matrix into rows of ``width``; trailing cells
-    are 0.
-    """
-    frames = values.shape[1]
+    [..., 12, frames, 3] channel matrix into rows of ``width``, copying each
+    value once; trailing cells are 0."""
+    *lead, _, frames, _ = values.shape
     n_cells = N_SENSORS * frames
     height, _, _ = image_shape(frames, width)
-    # flat[k, axis] with k = frame*12 + sensor
-    flat = values.transpose(1, 0, 2).reshape(n_cells, N_AXES)
-    pixels = np.zeros((height * width, N_AXES), dtype=np.float64)
-    pixels[:n_cells] = flat
-    return EncodedImage(pixels=pixels.reshape(height, width, N_AXES), frames=frames, width=width)
+    pixels = np.zeros((*lead, height * width, N_AXES), dtype=np.float64)
+    # a view, as splitting an axis never copies: cells[..., frame, sensor,
+    # axis] is flat cell k = frame*12 + sensor
+    cells = pixels[..., :n_cells, :].reshape(*lead, frames, N_SENSORS, N_AXES)
+    cells[...] = np.swapaxes(values, -3, -2)
+    return EncodedImage(pixels.reshape(*lead, height, width, N_AXES), frames, width)
 
 
 def unwrap_attribution(a: np.ndarray, img: EncodedImage) -> np.ndarray:

@@ -55,13 +55,14 @@ def load_split(directory, config: PipelineConfig,
     return synthdata.load_dataset(directory, _split_manifest(directory, config, ("train", "test")))
 
 
-def load_test_split(directory, config: PipelineConfig, class_name: str | None = None,
-                    ) -> tuple[list[signals.TrialRecording], Manifest, list[int]]:
-    """Only the test split's trials, of `class_name` alone when it is given,
-    read after the whole manifest is split as `prepare` would split it; with
-    their manifest and each trial's position in the whole manifest.  A class
-    with no test trial is a DataError naming the class and `directory`,
-    raised before any trial file is read."""
+def prepare_test_split(directory, config: PipelineConfig, scaler: signals.ChannelScaler,
+                       class_name: str | None = None) -> tuple[PreparedData, list[int]]:
+    """`prepare`, with a fitted scaler, of only the test split's trials, of
+    `class_name` alone when it is given, read after the whole manifest is
+    split as `prepare` would split it; with each trial's position in the
+    whole manifest.  A class with no test trial is a DataError naming the
+    class and `directory`, raised before any trial file is read.  No raw
+    trial outlives the call."""
     manifest = _split_manifest(directory, config, ("test",))
     positions = [i for i, e in enumerate(manifest.entries) if e.split == "test"]
     if class_name is not None:
@@ -71,37 +72,27 @@ def load_test_split(directory, config: PipelineConfig, class_name: str | None = 
             raise DataError(f"no test-split images of class {class_name!r} in {directory}",
                             path=str(directory))
     test = Manifest(entries=[manifest.entries[i] for i in positions])
-    trials, test = synthdata.load_dataset(directory, test)
-    return trials, test, positions
+    return prepare(*synthdata.load_dataset(directory, test), config, scaler=scaler), positions
 
 
 def prepare(trials, manifest: Manifest, config: PipelineConfig,
             scaler: signals.ChannelScaler | None = None) -> PreparedData:
-    """filter and pad -> scale (fitted on the training split) -> encode."""
+    """filter and pad -> scale (fitted on the training split) -> encode,
+    each one pass over the frame-major [target_frames, N, 36] bandpass."""
     manifest = assign_split(manifest, config)
     bandpass = signals.design_bandpass(config.filter_order, config.filter_low_hz,
                                        config.filter_high_hz, signals.SAMPLE_RATE_HZ)
-    # each trial a [36, target_frames] view of the one filtered array
     filtered = signals.filter_trial(trials, bandpass, config.target_frames)
-    processed = [signals.TrialRecording(filtered[:, i].T) for i in range(len(trials))]
-    train_idx = np.array([i for i, e in enumerate(manifest.entries) if e.split == "train"],
-                         dtype=np.int64)
-    test_idx = np.array([i for i, e in enumerate(manifest.entries) if e.split == "test"],
-                        dtype=np.int64)
+    splits = np.array([e.split for e in manifest.entries])
+    train_idx, test_idx = (np.flatnonzero(splits == s) for s in ("train", "test"))
     if scaler is None:
-        fit_on = [processed[i] for i in train_idx] if len(train_idx) else processed
-        scaler = signals.fit_scaler(fit_on, config.scaler_mode)
-    # one copy of the pixels: each trial is scaled and encoded on its own,
-    # and its image becomes a view of its row of `images`
-    shape = imaging.image_shape(config.target_frames, config.image_width)
-    images = np.empty((len(processed), *shape))
-    encoded = []
-    for row, t in zip(images, processed):
-        e = imaging.wrap_image(imaging.to_channel_matrix(signals.apply_scaler(t, scaler)),
-                               config.image_width)
-        row[...] = e.pixels
-        e.pixels = row
-        encoded.append(e)
+        scaler = signals.fit_scaler(filtered, config.scaler_mode,
+                                    rows=train_idx if len(train_idx) else None)
+    signals.apply_scaler(filtered, scaler)
+    # one copy of the pixels: each trial's image is a view of its row
+    stack = imaging.wrap_image(imaging.to_channel_matrix(filtered), config.image_width)
+    images = stack.pixels
+    encoded = [imaging.EncodedImage(row, stack.frames, stack.width) for row in images]
     labels = np.array([RISK_CLASSES.index(synthdata.zone_to_risk(e.zone))
                        for e in manifest.entries], dtype=np.int64)
     return PreparedData(images=images, labels=labels, encoded=encoded, manifest=manifest,
@@ -170,15 +161,13 @@ def load_trained(path) -> tuple[Model, PipelineConfig, signals.ChannelScaler]:
     return model, config, scaler
 
 
-def evaluate_checkpoint(model: Model, config: PipelineConfig,
-                        scaler: signals.ChannelScaler, trials,
-                        manifest: Manifest) -> tuple[metrics.ConfusionMatrix, PreparedData]:
-    """Evaluate on the manifest's test split (re-derived from the checkpoint
-    config when the manifest carries no split).  The config must encode
-    images of the model's input shape, as the checkpoint's own config and
-    every override that `liftrisk eval` accepts do."""
-    data = prepare(trials, manifest, config, scaler=scaler)
-    return score(model, data.images, data.labels, data.test_idx), data
+def evaluate_checkpoint(model: Model, config: PipelineConfig, scaler: signals.ChannelScaler,
+                        directory) -> metrics.ConfusionMatrix:
+    """The model scored on the test split of the dataset in `directory`.  The
+    config must encode images of the model's input shape, as the checkpoint's
+    own config and every override that `liftrisk eval` accepts do."""
+    data, _ = prepare_test_split(directory, config, scaler)
+    return score(model, data.images, data.labels, data.test_idx)
 
 
 @dataclass

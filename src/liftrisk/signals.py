@@ -5,7 +5,9 @@ The bandpass is designed analytically (analog Butterworth prototype, lowpass
 to bandpass transform, bilinear transform with frequency pre-warping) and
 realized as a cascade of second-order sections for numerical stability.
 Filtering is causal single-pass with zero initial state, so the same code
-path works on streamed samples.
+path works on streamed samples.  A prepare's trials are one frame-major
+[frames, N, 36] array: filter_trial returns it, fit_scaler reads its training
+trials and apply_scaler scales it in place.
 """
 
 from __future__ import annotations
@@ -282,14 +284,18 @@ class ChannelScaler:
             raise ValueError(f"unknown scaler mode {self.mode!r}")
 
 
-def fit_scaler(training_trials: list[TrialRecording], mode: str = "standardize") -> ChannelScaler:
-    if not training_trials:
+def fit_scaler(x: np.ndarray, mode: str = "standardize", rows=None) -> ChannelScaler:
+    """Fit on the trials ``rows`` (every trial when None) of a frame-major
+    [frames, N, 36] array: every frame of those trials, channel by channel."""
+    rows = range(x.shape[1]) if rows is None else rows
+    if not len(rows):
         raise ValueError("cannot fit a scaler on an empty training set")
-    # C order whatever the trials' strides: a reduction's bits depend on the
-    # layout it reads
-    total = sum(t.n_frames for t in training_trials)
-    stacked = np.concatenate([t.channels for t in training_trials], axis=1,
-                             out=np.empty((N_CHANNELS, total)))
+    # C order, a trial at a time: a reduction's bits depend on the layout it
+    # reads, and a fancy-indexed copy of the rows would double the buffer
+    frames = x.shape[0]
+    stacked = np.empty((N_CHANNELS, len(rows) * frames))
+    for k, i in enumerate(rows):
+        stacked[:, k * frames:(k + 1) * frames] = x[:, i].T
     if mode == "standardize":
         # ndarray.std's own steps, with the deviations squared in place of
         # a second stacked copy
@@ -303,17 +309,19 @@ def fit_scaler(training_trials: list[TrialRecording], mode: str = "standardize")
     return ChannelScaler(mode=mode, params=params)
 
 
-def apply_scaler(t: TrialRecording, s: ChannelScaler) -> TrialRecording:
-    x = t.channels
+def apply_scaler(x: np.ndarray, s: ChannelScaler) -> np.ndarray:
+    """Scale a float64 [..., 36] array in place over its channel axis, with
+    the formula's ufuncs in its order, and return it; a degenerate channel
+    becomes 0.0."""
     if s.mode == "standardize":
-        mean = s.params[:, 0:1]
-        sd = s.params[:, 1:2]
+        mean, sd = s.params.T
         safe = sd >= DEGENERATE_SPREAD
-        out = np.where(safe, (x - mean) / np.where(safe, sd, 1.0), 0.0)
+        np.divide(np.subtract(x, mean, out=x), np.where(safe, sd, 1.0), out=x)
     else:
-        lo = s.params[:, 0:1]
-        hi = s.params[:, 1:2]
+        lo, hi = s.params.T
         spread = hi - lo
         safe = spread >= DEGENERATE_SPREAD
-        out = np.where(safe, 2.0 * (x - lo) / np.where(safe, spread, 1.0) - 1.0, 0.0)
-    return TrialRecording(out)
+        np.multiply(np.subtract(x, lo, out=x), 2.0, out=x)
+        np.subtract(np.divide(x, np.where(safe, spread, 1.0), out=x), 1.0, out=x)
+    x[..., ~safe] = 0.0
+    return x

@@ -101,6 +101,5 @@ def test_prepare_calls_each_timed_stage(tiny_dataset_dir, tiny_config, monkeypat
     assert len(calls["filter_trial"]) == 1
     filtered = calls["filter_trial"][0][0]
     assert len(filtered) == len(trials) and all(a is b for a, b in zip(filtered, trials))
-    assert len(calls["fit_scaler"]) == 1
-    for name in ("apply_scaler", "to_channel_matrix", "wrap_image"):
-        assert len(calls[name]) == len(trials), name
+    for name in ("fit_scaler", "apply_scaler", "to_channel_matrix", "wrap_image"):
+        assert len(calls[name]) == 1, name

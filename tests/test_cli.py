@@ -469,8 +469,7 @@ class TestSaliencyCmd:
                     "--class", class_name, "--out", str(out)]) == 0
 
         model, config, scaler = pipeline.load_trained(trained)
-        trials, manifest, positions = pipeline.load_test_split(tiny_dataset_dir, config)
-        data = pipeline.prepare(trials, manifest, config, scaler=scaler)
+        data, positions = pipeline.prepare_test_split(tiny_dataset_dir, config, scaler)
         whole = pipeline.saliency_for_class(model, data, class_name)
         ref = tmp_path / "ref"
         saliency.export_saliency(whole.mean_magnitude, ref / f"saliency_{class_name}_mean.pgm")

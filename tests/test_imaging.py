@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from liftrisk.imaging import to_channel_matrix, unwrap_attribution, unwrap_image, wrap_image
-from liftrisk.signals import TrialRecording
 
 
 def make_trial(channels):
-    return TrialRecording(np.asarray(channels, dtype=float))
+    """[36, frames] channels as the frame-major [frames, 36] array that
+    to_channel_matrix reads."""
+    return np.asarray(channels, dtype=float).T
 
 
 class TestToChannelMatrix:
@@ -40,8 +41,28 @@ class TestToChannelMatrix:
         m = to_channel_matrix(make_trial(np.zeros((36, 750))))
         assert m.size == 27_000
 
+    def test_stack_is_a_view_of_each_trial(self):
+        rng = np.random.default_rng(4)
+        x = rng.normal(size=(20, 5, 36))  # [frames, N, 36]
+        m = to_channel_matrix(x)
+        assert m.shape == (5, 12, 20, 3) and np.shares_memory(m, x)
+        for i in range(5):
+            assert np.array_equal(m[i], to_channel_matrix(x[:, i]))
+
 
 class TestWrapImage:
+    @pytest.mark.parametrize("frames,width", [(250, 55), (20, 16), (7, 12)])
+    def test_stack_equals_each_image_wrapped_alone(self, frames, width):
+        rng = np.random.default_rng(5)
+        x = rng.normal(size=(frames, 4, 36))
+        stack = wrap_image(to_channel_matrix(x), width)
+        assert stack.pixels.shape == (4, stack.height, width, 3)
+        for i in range(4):
+            alone = wrap_image(to_channel_matrix(x[:, i]), width)
+            assert stack.pixels[i].tobytes() == alone.pixels.tobytes()
+            assert (stack.frames, stack.width, stack.height) == (alone.frames, alone.width,
+                                                                 alone.height)
+
     def test_default_geometry(self):
         m = np.zeros((12, 750, 3))
         img = wrap_image(m, width=95)

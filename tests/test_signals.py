@@ -22,6 +22,17 @@ def random_trial(rng, frames=40):
     return make_trial(rng.normal(size=(36, frames)))
 
 
+def as_frame_major(*trials):
+    """[frames, N, 36]: equal-length trials in the layout that fit_scaler
+    and apply_scaler read."""
+    return np.stack([t.channels.T for t in trials], axis=1)
+
+
+def scaled(t, s):
+    """The trial scaled by apply_scaler, on a frame-major copy."""
+    return make_trial(apply_scaler(t.channels.T.copy(), s).T)
+
+
 def naive_difference_equation(x, f: BandpassFilter):
     """Direct recursive evaluation of each section's difference equation."""
     y = np.asarray(x, dtype=float)
@@ -233,23 +244,81 @@ class TestPadOrTruncate:
             pad_or_truncate(random_trial(rng), 0)
 
 
+def where_scaler_reference(channels, s):
+    """The per-trial formula apply_scaler computed before it scaled in
+    place: a new [36, frames] array, each degenerate channel np.where'd to
+    0.0.  Kept as the oracle of the in-place version."""
+    x = channels
+    if s.mode == "standardize":
+        mean = s.params[:, 0:1]
+        sd = s.params[:, 1:2]
+        safe = sd >= signals.DEGENERATE_SPREAD
+        return np.where(safe, (x - mean) / np.where(safe, sd, 1.0), 0.0)
+    lo = s.params[:, 0:1]
+    hi = s.params[:, 1:2]
+    spread = hi - lo
+    safe = spread >= signals.DEGENERATE_SPREAD
+    return np.where(safe, 2.0 * (x - lo) / np.where(safe, spread, 1.0) - 1.0, 0.0)
+
+
+# per-channel spreads (sd, or max - min) around the degenerate threshold
+SPREADS = (0.0, np.nextafter(signals.DEGENERATE_SPREAD, 0.0), signals.DEGENERATE_SPREAD,
+           np.nextafter(signals.DEGENERATE_SPREAD, 1.0), 1e-6, 1.0, 250.0)
+
+
 class TestScaler:
+    @pytest.mark.parametrize("mode", signals.SCALER_MODES)
+    @given(frames=st.integers(1, 30), n_trials=st.integers(1, 5),
+           spreads=st.lists(st.sampled_from(SPREADS), min_size=36, max_size=36),
+           fitted=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=100)
+    def test_in_place_matches_where_reference(self, mode, frames, n_trials, spreads, fitted,
+                                              seed):
+        """Every byte of apply_scaler over a [frames, N, 36] stack equals the
+        per-trial np.where formula, signed zeros included."""
+        rng = np.random.default_rng(seed)
+        spreads = np.array(spreads)
+        centers = rng.normal(0.0, 5.0, size=36)
+        x = centers + spreads * rng.normal(size=(frames, n_trials, 36))
+        x[rng.random(x.shape) < 0.1] = 0.0
+        x[rng.random(x.shape) < 0.1] = -0.0
+        if fitted:  # constant and near-constant channels, fitted as prepare fits
+            s = fit_scaler(x, mode)
+        else:  # (mean, sd) or (0, max): each spread exactly as drawn
+            first = centers if mode == "standardize" else np.zeros(36)
+            s = signals.ChannelScaler(mode, np.stack([first, spreads], axis=1))
+        got = apply_scaler(x.copy(), s)
+        want = np.stack([where_scaler_reference(x[:, i].T, s).T for i in range(n_trials)],
+                        axis=1)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("mode", signals.SCALER_MODES)
+    @given(frames=st.integers(1, 40), n_trials=st.integers(1, 8),
+           data=st.data(), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=40)
+    def test_fit_on_rows_matches_fit_on_their_copy(self, mode, frames, n_trials, data, seed):
+        rows = data.draw(st.lists(st.integers(0, n_trials - 1), min_size=1, max_size=n_trials,
+                                  unique=True).map(sorted))
+        x = np.random.default_rng(seed).normal(3.0, 2.0, size=(frames, n_trials, 36))
+        assert (fit_scaler(x, mode, rows=rows).params.tobytes()
+                == fit_scaler(x[:, rows], mode).params.tobytes())
+
     def test_minmax_spans_unit_interval(self):
         channels = np.zeros((36, 50))
         channels[0] = np.linspace(-4, 4, 50)
         channels[1:] = np.linspace(0, 1, 50)
         t = make_trial(channels)
-        s = fit_scaler([t], mode="minmax")
-        out = apply_scaler(t, s)
+        s = fit_scaler(as_frame_major(t), mode="minmax")
+        out = scaled(t, s)
         assert out.channels[0].min() == pytest.approx(-1.0)
         assert out.channels[0].max() == pytest.approx(1.0)
 
     def test_minmax_never_exceeds_bounds_on_fit_data(self):
         rng = np.random.default_rng(13)
         trials = [random_trial(rng, frames=60) for _ in range(4)]
-        s = fit_scaler(trials, mode="minmax")
+        s = fit_scaler(as_frame_major(*trials), mode="minmax")
         for t in trials:
-            out = apply_scaler(t, s)
+            out = scaled(t, s)
             assert out.channels.min() >= -1.0 - 1e-9
             assert out.channels.max() <= 1.0 + 1e-9
 
@@ -257,26 +326,26 @@ class TestScaler:
         rng = np.random.default_rng(14)
         channels = rng.normal(5.0, 2.0, size=(36, 5000))
         t = make_trial(channels)
-        s = fit_scaler([t], mode="standardize")
-        out = apply_scaler(t, s)
+        s = fit_scaler(as_frame_major(t), mode="standardize")
+        out = scaled(t, s)
         assert np.max(np.abs(out.channels.mean(axis=1))) < 1e-9
         assert np.max(np.abs(out.channels.std(axis=1) - 1.0)) < 1e-9
 
     def test_constant_channel_standardizes_to_zero(self):
         channels = np.full((36, 40), 3.25)
         t = make_trial(channels)
-        s = fit_scaler([t], mode="standardize")
-        out = apply_scaler(t, s)
+        s = fit_scaler(as_frame_major(t), mode="standardize")
+        out = scaled(t, s)
         assert np.all(out.channels == 0.0)
 
     def test_constant_channel_minmax_to_zero(self):
         t = make_trial(np.full((36, 40), -1.5))
-        out = apply_scaler(t, fit_scaler([t], mode="minmax"))
+        out = scaled(t, fit_scaler(as_frame_major(t), mode="minmax"))
         assert np.all(out.channels == 0.0)
 
     def test_empty_training_set_rejected(self):
         with pytest.raises(ValueError):
-            fit_scaler([], mode="standardize")
+            fit_scaler(np.zeros((10, 0, 36)), mode="standardize")
 
     @pytest.mark.parametrize("mode", signals.SCALER_MODES)
     @given(frames=st.integers(1, 400), n_trials=st.integers(1, 8),
@@ -284,13 +353,14 @@ class TestScaler:
     @example(frames=250, n_trials=6, seed=15)
     @settings(max_examples=40)
     def test_fit_on_strided_views_matches_contiguous(self, mode, frames, n_trials, seed):
-        """prepare fits on [36, frames] views of a frame-major array; the
-        fit must not depend on their strides."""
+        """prepare fits on the trials of a frame-major array, each a strided
+        [36, frames] view; the fit must not depend on their strides."""
         rng = np.random.default_rng(seed)
         frame_major = rng.normal(3.0, 2.0, size=(frames, n_trials, 36))
-        views = [make_trial(frame_major[:, i].T) for i in range(n_trials)]
-        copies = [make_trial(np.ascontiguousarray(v.channels)) for v in views]
-        stacked = np.concatenate([t.channels for t in copies], axis=1)
+        views = frame_major
+        copies = np.asfortranarray(frame_major)
+        stacked = np.concatenate([np.ascontiguousarray(frame_major[:, i].T)
+                                  for i in range(n_trials)], axis=1)
         if mode == "standardize":
             want = np.stack([stacked.mean(axis=1), stacked.std(axis=1)], axis=1)
         else:
@@ -301,8 +371,8 @@ class TestScaler:
     def test_fit_uses_all_trials(self):
         t1 = make_trial(np.full((36, 10), 0.0))
         t2 = make_trial(np.full((36, 10), 10.0))
-        s = fit_scaler([t1, t2], mode="minmax")
-        out = apply_scaler(t1, s)
+        s = fit_scaler(as_frame_major(t1, t2), mode="minmax")
+        out = scaled(t1, s)
         assert np.all(out.channels == -1.0)
 
 

@@ -18,7 +18,6 @@ from .imaging import image_shape
 from .nncore import AvgPool, MaxPool, Model, build_preset, pool_shape
 from .signals import SAMPLE_RATE_HZ, SCALER_MODES, check_band
 from .synthdata import RISK_CLASSES
-from .trainer import TrainConfig
 
 
 @dataclass
@@ -52,10 +51,18 @@ class PipelineConfig:
             raise ConfigError(f"dtype must be float32 or float64, got {self.dtype!r}")
         if not 0.0 < self.train_fraction < 1.0:
             raise ConfigError("train_fraction must be in (0, 1)")
-        try:
-            train_config_of(self)  # TrainConfig checks the training-loop bounds
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        if not 0 < self.learning_rate < np.inf:
+            raise ConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
+        if not 0 <= self.min_delta < np.inf:
+            raise ConfigError(f"min_delta must be finite and >= 0, got {self.min_delta}")
+        if self.patience < 1:
+            raise ConfigError("patience must be >= 1")
+        if self.batch_size < 1:
+            raise ConfigError("batch_size must be >= 1")
+        if self.max_epochs < 1:
+            raise ConfigError("max_epochs must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         band = (self.filter_order, self.filter_low_hz, self.filter_high_hz)
         try:
             check_band(*band, SAMPLE_RATE_HZ)
@@ -101,15 +108,6 @@ class PipelineConfig:
                 v = repr(v)
             out.append(f"{f.name} = {v}")
         return out
-
-
-def train_config_of(config: PipelineConfig) -> TrainConfig:
-    return TrainConfig(learning_rate=config.learning_rate,
-                       batch_size=config.batch_size,
-                       patience=config.patience,
-                       min_delta=config.min_delta,
-                       max_epochs=config.max_epochs,
-                       seed=config.seed)
 
 
 def parse_config_lines(lines, source: str = "<config>") -> PipelineConfig:

@@ -108,7 +108,9 @@ class Layer:
                  ) -> tuple[np.ndarray | None, list[np.ndarray] | None]:
         """(input gradient, parameter gradients) for the upstream gradient
         `dout`; either is None when its flag is false, except that a layer
-        without parameters always returns an empty list."""
+        without parameters always returns an empty list.  A BatchNorm
+        inference-mode cache gives None parameter gradients: its running
+        statistics are constants there."""
         raise NotImplementedError
 
     def spec_line(self) -> str:
@@ -339,8 +341,7 @@ class BatchNorm(Layer):
         mode, xhat, inv_std = cache
         if mode == "infer":
             # running stats are constants at inference; pure affine map
-            grads = [np.zeros_like(self.gamma), np.zeros_like(self.beta)] if need_grads else None
-            return (dout * self.gamma * inv_std if need_dx else None), grads
+            return (dout * self.gamma * inv_std if need_dx else None), None
         grads = [(dout * xhat).sum(axis=0), dout.sum(axis=0)] if need_grads else None
         dx = None
         if need_dx:

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import PipelineConfig
 from .errors import TrainingDivergedError
 from .fileio import lines_text, write_file
 from .nncore import Model
@@ -28,33 +29,6 @@ ADAM_BLOCK = 32768
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPSILON = 1e-8
-
-
-@dataclass
-class TrainConfig:
-    """Optimizer and loop settings; the L2 weight and dropout rate belong to
-    the model's layers."""
-
-    learning_rate: float = 1e-3
-    batch_size: int = 32
-    patience: int = 10
-    min_delta: float = 0.0
-    max_epochs: int = 500
-    seed: int = 42
-
-    def __post_init__(self):
-        if not 0 < self.learning_rate < np.inf:
-            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
-        if not 0 <= self.min_delta < np.inf:
-            raise ValueError(f"min_delta must be finite and >= 0, got {self.min_delta}")
-        if self.patience < 1:
-            raise ValueError("patience must be >= 1")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.max_epochs < 1:
-            raise ValueError("max_epochs must be >= 1")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -90,7 +64,7 @@ class AdamState:
 
 
 def adam_step(params: list[np.ndarray], grads: list[np.ndarray],
-              state: AdamState, config: TrainConfig) -> AdamState:
+              state: AdamState, learning_rate: float) -> AdamState:
     """One bias-corrected update, in place: m <- b1*m + (1-b1)*g,
     v <- b2*v + (1-b2)*g^2, theta <- theta - alpha * m_hat / (sqrt(v_hat) + eps).
 
@@ -103,7 +77,6 @@ def adam_step(params: list[np.ndarray], grads: list[np.ndarray],
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     bc1 = 1.0 - b1 ** state.t
     bc2 = 1.0 - b2 ** state.t
-    lr, eps = config.learning_rate, ADAM_EPSILON
     for p, g, m, v in zip(params, grads, state.m, state.v):
         rows = max(1, ADAM_BLOCK // p[0].size)
         # scratch: g's terms in g's dtype, the step and its denominator in
@@ -123,10 +96,10 @@ def adam_step(params: list[np.ndarray], grads: list[np.ndarray],
             np.multiply(1.0 - b2, t, out=t)
             vb += t
             np.divide(mb, bc1, out=s)
-            np.multiply(lr, s, out=s)
+            np.multiply(learning_rate, s, out=s)
             np.divide(vb, bc2, out=d)
             np.sqrt(d, out=d)
-            np.add(d, eps, out=d)
+            np.add(d, ADAM_EPSILON, out=d)
             np.divide(s, d, out=s)
             pb -= s
     return state
@@ -177,9 +150,11 @@ def evaluate(model: Model, images: np.ndarray, onehot: np.ndarray,
 
 
 def train(model: Model, images: np.ndarray, labels: np.ndarray,
-          config: TrainConfig) -> TrainHistory:
+          config: PipelineConfig) -> TrainHistory:
     """Train a built model on images [N,H,W,3] with integer class labels.
 
+    `config` gives the learning rate, batch size, patience, min delta, epoch
+    cap and seed; the L2 weight and dropout rate are the model's layers'.
     Deterministic given the config seed: one RNG stream drives the per-epoch
     shuffles and dropout masks in sequence.  Raises TrainingDivergedError if
     the monitored loss goes non-finite.
@@ -218,7 +193,7 @@ def train(model: Model, images: np.ndarray, labels: np.ndarray,
             batch = perm[start:stop]
             model.forward(images[batch], train=True, rng=rng)
             # the gradients live only for the update
-            adam_step(params, model.backward(onehot[batch]), state, config)
+            adam_step(params, model.backward(onehot[batch]), state, config.learning_rate)
 
         epoch_loss, epoch_acc = evaluate(model, images, onehot, l2_lambda)
         if not np.isfinite(epoch_loss):

@@ -16,13 +16,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from liftrisk import cli, metrics, pipeline, saliency, signals, synthdata, trainer
+from liftrisk import cli, metrics, pipeline, saliency, signals, synthdata
 from liftrisk.config import PipelineConfig, load_config
 from liftrisk.imaging import unwrap_image, wrap_image
 from liftrisk.metrics import ConfusionMatrix, rk
 from liftrisk.nncore import (AvgPool, BatchNorm, Conv2D, Dense, Flatten, MaxPool, Model,
                              SoftmaxOutput, build_preset, conv2d_batch)
-from liftrisk.trainer import AdamState, EarlyStopper, TrainConfig, adam_step
+from liftrisk.trainer import AdamState, EarlyStopper, adam_step
 
 SEED = 42
 
@@ -355,16 +355,15 @@ def test_criterion_5_encoding_and_shapes():
 def test_criterion_6_optimizer_and_early_stopping():
     params = [np.array([0.5])]
     state = AdamState.for_params(params)
-    adam_step(params, [np.array([1.0])], state, TrainConfig(learning_rate=1e-3))
+    adam_step(params, [np.array([1.0])], state, 1e-3)
     expected = 0.5 - 1e-3 / (1.0 + 1e-8)
     first_step_err = abs(params[0][0] - expected)
     assert first_step_err < 1e-12
 
     params = [np.array([1.0])]
     state = AdamState.for_params(params)
-    cfg = TrainConfig(learning_rate=0.1)
     for _ in range(200):
-        adam_step(params, [2.0 * params[0]], state, cfg)
+        adam_step(params, [2.0 * params[0]], state, 0.1)
     theta_final = abs(float(params[0][0]))
     assert theta_final < 0.05
 
@@ -412,12 +411,8 @@ def test_criterion_8_model_ordering(bench_run, prepared):
 
     def train_preset(preset):
         c = replace(config, model_preset=preset)
-        model = pipeline.build_model(c, data.images.shape[1:])
-        trainer.train(model, data.images[data.train_idx], data.labels[data.train_idx],
-                      pipeline.train_config_of(c))
-        preds, _ = trainer.predict(model, data.images[data.test_idx])
-        cm = metrics.confusion(preds, data.labels[data.test_idx], k=3,
-                               class_names=synthdata.RISK_CLASSES)
+        model, _ = pipeline.fit(c, data.images, data.labels, data.train_idx)
+        cm = pipeline.score(model, data.images, data.labels, data.test_idx)
         return float(metrics.rk(cm)), metrics.accuracy(cm)
 
     mlp_rk, mlp_acc = train_preset("mlp")

@@ -12,6 +12,7 @@ import pytest
 
 import liftrisk.cli  # noqa: F401  (loads every module the benchmark wraps)
 from liftrisk import imaging, pipeline, signals, synthdata
+from liftrisk.config import PipelineConfig
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -78,6 +79,12 @@ def test_names_were_found():
 @pytest.mark.parametrize("name", PINNED)
 def test_benchmark_name_resolves(name):
     assert callable(resolve(name)), f"liftrisk.{name} is not callable"
+
+
+def test_train_config_of_hands_back_its_config():
+    # paper_train passes what this returns to trainer.train
+    c = PipelineConfig(seed=7)
+    assert pipeline.train_config_of(c) is c
 
 
 # the functions whose wrapped calls make prepare's stage metrics

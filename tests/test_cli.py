@@ -664,7 +664,9 @@ class TestConfigParsing:
                                             ("batch_size", "0"), ("max_epochs", "0"),
                                             ("l2_lambda", "-1e-3"), ("dropout_rate", "1.0"),
                                             ("filter_order", "0"), ("filter_low_hz", "13.0"),
-                                            ("target_frames", "0"), ("image_width", "11")])
+                                            ("target_frames", "0"), ("image_width", "11"),
+                                            ("learning_rate", "inf"), ("min_delta", "-0.5"),
+                                            ("min_delta", "inf"), ("seed", "-1")])
     def test_training_bound_rejected(self, key, value):
         with pytest.raises(ConfigError, match=key):
             parse_config_lines([f"{key} = {value}"])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from liftrisk import pipeline, trainer
-from liftrisk.config import PipelineConfig, train_config_of
+from liftrisk.config import PipelineConfig
 from liftrisk.hypertune import GridSpec, TuneCell, grid_search, ranked, write_results_csv
 
 
@@ -55,7 +55,7 @@ class TestGridSearch:
 
         standalone = grid.config(grid.cells()[0])
         model = pipeline.build_model(standalone, tr_im.shape[1:])
-        history = trainer.train(model, tr_im, tr_lb, train_config_of(standalone))
+        history = trainer.train(model, tr_im, tr_lb, standalone)
         assert history.losses == cell.history.losses
         preds, _ = trainer.predict(model, te_im)
         from liftrisk import metrics

@@ -9,7 +9,7 @@ from liftrisk.errors import CheckpointMismatchError
 from liftrisk.nncore import (PRESET_NAMES, AvgPool, BatchNorm, Conv2D, Dense, Dropout,
                              Flatten, MaxPool, Model, SoftmaxOutput, build_preset,
                              conv2d_batch, load_checkpoint, save_checkpoint, softmax_output)
-from liftrisk.trainer import TrainConfig, predict, train
+from liftrisk.trainer import predict, train
 
 H_FD = 1e-5
 
@@ -429,13 +429,15 @@ def forward_with_caches(model, x, train, rng):
     return x, caches
 
 
-def full_backward(model, caches, dout):
-    """Every layer's backward with its default flags, so each input and
-    parameter gradient is computed; (flat parameter gradients, input gradient)."""
+def full_backward(model, caches, dout, train=True):
+    """Every layer's backward, computing each input gradient and, for
+    train-mode caches, each parameter gradient (an inference-mode BatchNorm
+    has none); (flat parameter gradients, input gradient)."""
     grads = []
     for layer, cache in zip(reversed(model.layers), reversed(caches)):
-        dout, g = layer.backward(dout, cache)
-        grads[:0] = g
+        dout, g = layer.backward(dout, cache, True, train)
+        if train:
+            grads[:0] = g
     return grads, dout
 
 
@@ -538,7 +540,7 @@ class TestBackwardFlags:
             out, caches = forward_with_caches(model, x, False, None)
             dlogits = np.zeros(out.shape)
             dlogits[:, class_index] = 1.0
-            _, want = full_backward(model, caches, dlogits)
+            _, want = full_backward(model, caches, dlogits, train=False)
             assert np.array_equal(model.logit_input_gradient(x, class_index), want)
 
     @pytest.mark.parametrize("shape", [(2, 5, 7, 3), (2, 6, 6, 2), (1, 7, 4, 1), (3, 95, 95, 2)])
@@ -572,7 +574,7 @@ class TestBackwardFlags:
         rng = np.random.default_rng(55)
         images = rng.normal(size=(10, 13, 11, 3))
         labels = np.arange(10) % 3
-        config = TrainConfig(batch_size=4, max_epochs=2, patience=5, seed=3)
+        config = PipelineConfig(batch_size=4, max_epochs=2, patience=5, seed=3)
         plain = small_preset("vgg_b_avg")
         plain_history = train(plain, images, labels, config)
         plain_map = plain.logit_input_gradient(images[:2], 2)

@@ -9,11 +9,11 @@ import numpy as np
 import pytest
 
 from liftrisk import imaging, pipeline, trainer
-from liftrisk.config import desk_config
+from liftrisk.config import PipelineConfig, desk_config
 from liftrisk.errors import TrainingDivergedError
 from liftrisk.nncore import Dense, Dropout, Flatten, Model, SoftmaxOutput
 from liftrisk.trainer import (ADAM_BETA1, ADAM_BETA2, ADAM_BLOCK, ADAM_EPSILON, AdamState,
-                              EarlyStopper, TrainConfig, adam_step, loss, predict, train)
+                              EarlyStopper, adam_step, loss, predict, train)
 
 
 def scalar_adam_reference(grad_fn, theta0, alpha, steps, b1=0.9, b2=0.999, eps=1e-8):
@@ -29,15 +29,15 @@ def scalar_adam_reference(grad_fn, theta0, alpha, steps, b1=0.9, b2=0.999, eps=1
     return theta
 
 
-def whole_array_adam(p, g, m, v, t, config):
+def whole_array_adam(p, g, m, v, t, learning_rate):
     """The update as one expression per array, on fresh temporaries."""
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     m *= b1
     m += (1.0 - b1) * g
     v *= b2
     v += (1.0 - b2) * np.square(g)
-    p -= config.learning_rate * (m / (1.0 - b1 ** t)) / (np.sqrt(v / (1.0 - b2 ** t))
-                                                         + ADAM_EPSILON)
+    p -= learning_rate * (m / (1.0 - b1 ** t)) / (np.sqrt(v / (1.0 - b2 ** t))
+                                                  + ADAM_EPSILON)
 
 
 class TestLoss:
@@ -77,7 +77,7 @@ class TestAdam:
         params = [np.array([1.0, -2.0]), np.array([[3.0]])]
         grads = [np.zeros(2), np.zeros((1, 1))]
         state = AdamState.for_params(params)
-        adam_step(params, grads, state, TrainConfig())
+        adam_step(params, grads, state, 1e-3)
         assert np.array_equal(params[0], [1.0, -2.0])
         assert np.array_equal(params[1], [[3.0]])
         assert state.t == 1
@@ -86,19 +86,18 @@ class TestAdam:
         # g=1, fresh state: m_hat = 1, v_hat = 1, step = alpha / (1 + eps)
         params = [np.array([0.5])]
         state = AdamState.for_params(params)
-        cfg = TrainConfig(learning_rate=1e-3)
-        adam_step(params, [np.array([1.0])], state, cfg)
+        adam_step(params, [np.array([1.0])], state, 1e-3)
         expected_step = 1e-3 * 1.0 / (1.0 + 1e-8)
         assert params[0][0] == pytest.approx(0.5 - expected_step, abs=1e-12)
         assert expected_step == pytest.approx(9.99999e-4, abs=1e-9)
 
     def test_quadratic_convergence_vs_reference(self):
         # f(theta) = theta^2, grad = 2*theta
-        cfg = TrainConfig(learning_rate=0.1)
+        lr = 0.1
         params = [np.array([1.0])]
         state = AdamState.for_params(params)
         for _ in range(200):
-            adam_step(params, [2.0 * params[0]], state, cfg)
+            adam_step(params, [2.0 * params[0]], state, lr)
         assert abs(params[0][0]) < 0.05
         ref = scalar_adam_reference(lambda th: 2.0 * th, 1.0, 0.1, 200)
         assert params[0][0] == pytest.approx(ref, abs=1e-12)
@@ -108,10 +107,10 @@ class TestAdam:
         g_seq = rng.normal(size=12)
         params = [np.array([0.3])]
         state = AdamState.for_params(params)
-        cfg = TrainConfig(learning_rate=0.01)
+        lr = 0.01
         theta, m, v = 0.3, 0.0, 0.0
         for t, g in enumerate(g_seq, start=1):
-            adam_step(params, [np.array([g])], state, cfg)
+            adam_step(params, [np.array([g])], state, lr)
             m = 0.9 * m + 0.1 * g
             v = 0.999 * v + 0.001 * g * g
             theta -= 0.01 * (m / (1 - 0.9 ** t)) / (math.sqrt(v / (1 - 0.999 ** t)) + 1e-8)
@@ -124,14 +123,14 @@ class TestAdam:
                              ids=["1", "block-1", "block", "block+1", "2d", "conv"])
     def test_blocked_update_matches_whole_array_formula(self, shape, dtype):
         rng = np.random.default_rng(7)
-        cfg = TrainConfig(learning_rate=3e-3)
+        lr = 3e-3
         p = rng.normal(size=shape).astype(dtype)
         ref_p, ref_m, ref_v = p.copy(), np.zeros_like(p), np.zeros_like(p)
         state = AdamState.for_params([p])
         for t in range(1, 4):
             g = rng.normal(size=shape).astype(dtype)
-            adam_step([p], [g], state, cfg)
-            whole_array_adam(ref_p, g, ref_m, ref_v, t, cfg)
+            adam_step([p], [g], state, lr)
+            whole_array_adam(ref_p, g, ref_m, ref_v, t, lr)
             for got, want in ((p, ref_p), (state.m[0], ref_m), (state.v[0], ref_v)):
                 assert got.dtype == want.dtype and np.array_equal(got, want)
 
@@ -180,8 +179,8 @@ class TestTrainLoop:
         rng = np.random.default_rng(1)
         model = tiny_mlp(seed=1)
         x = rng.normal(size=(1, 12))
-        cfg = TrainConfig(batch_size=1, max_epochs=5, patience=10, seed=1,
-                          learning_rate=1e-2)
+        cfg = PipelineConfig(batch_size=1, max_epochs=5, patience=10, seed=1,
+                             learning_rate=1e-2)
         history = train(model, x, np.array([2]), cfg)
         assert len(history.losses) == 5
         diffs = np.diff(history.losses)
@@ -191,7 +190,7 @@ class TestTrainLoop:
     def test_determinism(self):
         rng = np.random.default_rng(2)
         images, labels = tiny_dataset(rng)
-        cfg = TrainConfig(batch_size=8, max_epochs=6, seed=3)
+        cfg = PipelineConfig(batch_size=8, max_epochs=6, seed=3)
 
         def run():
             model = Model([Flatten(), Dense(8, activation="relu"), Dropout(0.1),
@@ -209,7 +208,7 @@ class TestTrainLoop:
     def test_presentation_order_invariance(self):
         rng = np.random.default_rng(4)
         images, labels = tiny_dataset(rng)
-        cfg = TrainConfig(batch_size=8, max_epochs=5, seed=5)
+        cfg = PipelineConfig(batch_size=8, max_epochs=5, seed=5)
 
         def run(order):
             model = tiny_mlp(seed=5)
@@ -227,8 +226,8 @@ class TestTrainLoop:
     def test_restored_weights_have_best_loss(self):
         rng = np.random.default_rng(6)
         images, labels = tiny_dataset(rng, n=18)
-        cfg = TrainConfig(batch_size=6, max_epochs=12, patience=3, seed=7,
-                          learning_rate=5e-2)
+        cfg = PipelineConfig(batch_size=6, max_epochs=12, patience=3, seed=7,
+                             learning_rate=5e-2)
         model = tiny_mlp(seed=7)
         history = train(model, images, labels, cfg)
         assert history.best_epoch == int(np.argmin(history.losses)) + 1
@@ -243,10 +242,10 @@ class TestTrainLoop:
         w = rng.normal(size=(6, 3))
         params = [w]
         state = AdamState.for_params(params)
-        cfg = TrainConfig(learning_rate=1e-2)
+        lr = 1e-2
         norms = [float(np.linalg.norm(w))]
         for _ in range(50):
-            adam_step(params, [2.0 * 0.1 * w], state, cfg)
+            adam_step(params, [2.0 * 0.1 * w], state, lr)
             norms.append(float(np.linalg.norm(w)))
         assert all(b < a for a, b in zip(norms, norms[1:]))
 
@@ -255,7 +254,7 @@ class TestTrainLoop:
         model = Model([Flatten(), SoftmaxOutput(3, l2_lambda=0.1)]).build((4,), seed=8)
         images = np.zeros((6, 4))
         labels = np.array([0, 1, 2, 0, 1, 2])
-        cfg = TrainConfig(batch_size=6, max_epochs=30, patience=30, seed=8)
+        cfg = PipelineConfig(batch_size=6, max_epochs=30, patience=30, seed=8)
         w0 = float(np.sum(model.layers[-1].w ** 2))
         train(model, images, labels, cfg)
         # loss is minimized over epochs; restored weights have smaller norm
@@ -264,7 +263,7 @@ class TestTrainLoop:
     def test_empty_dataset_rejected(self):
         model = tiny_mlp()
         with pytest.raises(ValueError):
-            train(model, np.zeros((0, 12)), np.zeros(0, dtype=int), TrainConfig())
+            train(model, np.zeros((0, 12)), np.zeros(0, dtype=int), PipelineConfig())
 
     def test_divergence_raises_with_epoch(self):
         # a non-finite parameter poisons the forward pass; the loop must
@@ -273,7 +272,7 @@ class TestTrainLoop:
         model.layers[-1].w[0, 0] = np.inf
         rng = np.random.default_rng(9)
         images, labels = tiny_dataset(rng, n=12)
-        cfg = TrainConfig(batch_size=4, max_epochs=10, seed=9)
+        cfg = PipelineConfig(batch_size=4, max_epochs=10, seed=9)
         with pytest.raises(TrainingDivergedError) as err, np.errstate(invalid="ignore"):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
@@ -288,7 +287,7 @@ class TestTrainLoop:
             p[:] = 0.0
         images = np.zeros((6, 4))
         labels = np.array([0, 1, 2, 0, 1, 2])
-        cfg = TrainConfig(batch_size=6, max_epochs=50, patience=4, seed=10)
+        cfg = PipelineConfig(batch_size=6, max_epochs=50, patience=4, seed=10)
         history = train(model, images, labels, cfg)
         # zero inputs + balanced labels: logits gradient sums to zero, loss fixed
         assert history.stopped_epoch == 5

@@ -10,7 +10,8 @@ Runs, into the directory OUT (missing or empty):
     liftrisk saliency, each of the three classes -> OUT/run/saliency
     liftrisk tune over a two-cell grid           -> OUT/run/tune.csv and its histories
 
-then prints one `sha256  path` line per file under OUT, sorted by path.
+then prints one `sha256  path` line per file under OUT, sorted by path, to
+stdout, and each command's wall time to stderr.
 `--src` names the `src` directory whose liftrisk runs (default: the one
 beside this script), so one copy of the script runs any checkout; two runs'
 printouts diff line by line.  A desk run takes a few minutes.
@@ -22,6 +23,7 @@ import argparse
 import contextlib
 import hashlib
 import sys
+import time
 from pathlib import Path
 
 GRID = "lambdas = 1e-5\nalphas = 1e-3\ndropouts = 0.0,0.25\n"
@@ -52,8 +54,10 @@ def main() -> int:
     out.mkdir(parents=True, exist_ok=True)
     grid.write_text(GRID)
     for argv in commands:
+        start = time.perf_counter()
         with contextlib.redirect_stdout(sys.stderr):  # stdout holds the hashes alone
             code = cli.main([str(a) for a in argv])
+        print(f"liftrisk {argv[0]}: {time.perf_counter() - start:.2f} s wall", file=sys.stderr)
         if code != 0:
             print(f"liftrisk {argv[0]} exited with {code}", file=sys.stderr)
             return code

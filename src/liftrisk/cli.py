@@ -191,8 +191,8 @@ def load_grid(path, config: PipelineConfig) -> hypertune.GridSpec:
     """The grid of the file at `path` over `config`, with every cell's
     config checked."""
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read grid file {path}: {exc}") from exc
     values = parse_kv_lines(text.splitlines(), _GRID_PARSERS, source=str(path))
     try:

@@ -145,8 +145,8 @@ def parse_kv_lines(lines, parsers: dict, source: str) -> dict:
 def load_config(path) -> PipelineConfig:
     path = Path(path)
     try:
-        text = path.read_text()
-    except OSError as exc:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return parse_config_lines(text.splitlines(), source=str(path))
 

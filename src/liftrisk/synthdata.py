@@ -22,6 +22,7 @@ import numpy as np
 from .errors import ChannelCountMismatchError, DataError, MalformedRowError, MissingTrialFileError
 from .fileio import lines_text, write_file
 from .signals import N_AXES, N_CHANNELS, N_SENSORS, SAMPLE_RATE_HZ, TrialRecording
+from .workers import map_in_workers
 
 RISK_CLASSES = ("low", "medium", "high")
 
@@ -217,17 +218,28 @@ TRIAL_HEADER = ["frame"] + [f"s{s}{a}" for s in range(N_SENSORS) for a in "xyz"]
 MANIFEST_HEADER = ["trial_file", "subject_id", "zone", "trial_index", "frame_count", "split"]
 
 
+# Trials a worker process reads or writes per task: few enough that the
+# workers end close together, enough that a task's round trip costs little
+# against its text conversion.
+TRIALS_PER_TASK = 16
+
+
 def save_dataset(directory, trials: list[TrialRecording], manifest: Manifest) -> None:
+    """The manifest, then every trial file, each written by worker processes
+    (`workers.map_in_workers`) with the bytes csv.writer would write."""
     directory = Path(directory)
     if len(trials) != len(manifest.entries):
         raise ValueError("trial list and manifest lengths differ")
     write_manifest(directory / "manifest.csv", manifest)
-    for trial, entry in zip(trials, manifest.entries):
-        frames = np.asarray(trial.channels, dtype=np.float64).T.tolist()
+
+    def write_trial(i: int) -> None:
+        frames = np.asarray(trials[i].channels, dtype=np.float64).T.tolist()
         # the bytes csv.writer writes: repr of each value, "\r\n" line ends
         rows = (f"{frame}," + ",".join(map(repr, values)) for frame, values in enumerate(frames))
-        write_file(directory / entry.trial_file,
+        write_file(directory / manifest.entries[i].trial_file,
                    lines_text([",".join(TRIAL_HEADER), *rows], end="\r\n"))
+
+    map_in_workers(write_trial, len(trials), TRIALS_PER_TASK)
 
 
 def write_manifest(path, manifest: Manifest, comments=(), end: str = "\r\n") -> None:
@@ -251,50 +263,62 @@ def load_manifest(directory) -> Manifest:
         raise DataError(f"manifest not found: {manifest_path}", path=str(manifest_path))
     entries: list[ManifestEntry] = []
     seen: set[str] = set()
-    with open(manifest_path, newline="") as fh:
-        rows = _csv_rows(fh)
-        first = next(rows, None)
-        if first is None or first[1] != MANIFEST_HEADER:
-            raise DataError(f"bad manifest header in {manifest_path}",
-                            path=str(manifest_path), line=1)
-        for lineno, row in rows:
-            if len(row) != len(MANIFEST_HEADER):
-                raise MalformedRowError(
-                    f"{manifest_path}:{lineno}: expected {len(MANIFEST_HEADER)} fields, "
-                    f"got {len(row)}",
-                    path=str(manifest_path), line=lineno)
-            try:
-                entry = ManifestEntry(
-                    trial_file=row[0], subject_id=int(row[1]), zone=int(row[2]),
-                    trial_index=int(row[3]), frame_count=int(row[4]), split=row[5])
-            except ValueError as exc:
-                raise MalformedRowError(f"{manifest_path}:{lineno}: {exc}",
-                                        path=str(manifest_path), line=lineno) from exc
-            problem = _entry_problem(entry, seen)
-            if problem:
-                raise MalformedRowError(f"{manifest_path}:{lineno}: {problem}",
-                                        path=str(manifest_path), line=lineno)
-            seen.add(entry.trial_file)
-            entries.append(entry)
+    rows = _csv_rows(io.StringIO(_read_text(manifest_path), newline=""))
+    first = next(rows, None)
+    if first is None or first[1] != MANIFEST_HEADER:
+        raise DataError(f"bad manifest header in {manifest_path}",
+                        path=str(manifest_path), line=1)
+    for lineno, row in rows:
+        if len(row) != len(MANIFEST_HEADER):
+            raise MalformedRowError(
+                f"{manifest_path}:{lineno}: expected {len(MANIFEST_HEADER)} fields, "
+                f"got {len(row)}",
+                path=str(manifest_path), line=lineno)
+        try:
+            entry = ManifestEntry(
+                trial_file=row[0], subject_id=int(row[1]), zone=int(row[2]),
+                trial_index=int(row[3]), frame_count=int(row[4]), split=row[5])
+        except ValueError as exc:
+            raise MalformedRowError(f"{manifest_path}:{lineno}: {exc}",
+                                    path=str(manifest_path), line=lineno) from exc
+        problem = _entry_problem(entry, seen)
+        if problem:
+            raise MalformedRowError(f"{manifest_path}:{lineno}: {problem}",
+                                    path=str(manifest_path), line=lineno)
+        seen.add(entry.trial_file)
+        entries.append(entry)
     return Manifest(entries=entries)
+
+
+def _read_text(path: Path) -> str:
+    """The UTF-8 text of the data file at `path`, line ends kept; a file that
+    cannot be read or is not UTF-8 is a DataError naming it."""
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read {path}: {exc}", path=str(path)) from exc
 
 
 def load_dataset(directory, manifest: Manifest | None = None,
                  ) -> tuple[list[TrialRecording], Manifest]:
     """The trials of `manifest`, by default of the directory's whole
-    manifest.csv, read from their files under `directory`."""
+    manifest.csv, read from their files under `directory` by worker
+    processes (`workers.map_in_workers`), in manifest order.  A fault raises
+    the error of the first bad trial file in manifest order."""
     directory = Path(directory)
     if manifest is None:
         manifest = load_manifest(directory)
-    trials = [_load_trial(directory / e.trial_file, e) for e in manifest.entries]
+    entries = manifest.entries
+    trials = map_in_workers(lambda i: _load_trial(directory / entries[i].trial_file, entries[i]),
+                            len(entries), TRIALS_PER_TASK)
     return trials, manifest
 
 
 def _load_trial(path: Path, entry: ManifestEntry) -> TrialRecording:
     if not path.exists():
         raise MissingTrialFileError(f"trial file missing: {path}", path=str(path))
-    with open(path, newline="") as fh:
-        text = fh.read()
+    text = _read_text(path)
     values = _parse_plain_trial(text)
     if values is None:
         values = _parse_validated_trial(path, text)

@@ -286,6 +286,37 @@ def _cut_trial(rows):
     return spoil
 
 
+def _dataset_file(edit):
+    """A copy of the dataset after edit(copy, its first trial file)."""
+    def spoil(trained, dataset, config, tmp_path):
+        copy = tmp_path / "spoilt"
+        shutil.copytree(dataset, copy)
+        edit(copy, copy / synthdata.load_manifest(copy).entries[0].trial_file)
+        return {"--data": copy}
+    return spoil
+
+
+def _replace_by_directory(copy, trial):
+    trial.unlink()
+    trial.mkdir()
+
+
+def _insert_0xff(path):
+    """Put a byte that is not UTF-8 after the first comma of the file at `path`."""
+    path.write_bytes(path.read_bytes().replace(b",", b",\xff", 1))
+
+
+def _non_utf8(option, name):
+    """`option` names a file, otherwise valid, holding a byte that is not UTF-8."""
+    def spoil(trained, dataset, config, tmp_path):
+        path = tmp_path / name
+        text = ("lambdas = 1e-5\nalphas = 1e-3\ndropouts = 0.25\n" if option == "--grid"
+                else "\n".join(config.to_lines()) + "\n")
+        path.write_bytes(text.replace("\n", "\n# \xff\n", 1).encode("latin-1"))
+        return {option: path, "--data": tmp_path / "unread"}
+    return spoil
+
+
 def _one_split(split):
     """A dataset of the manifest alone, every trial recorded in `split`: no
     trial file exists, so a command that reads one fails on it instead."""
@@ -355,6 +386,14 @@ class TestBadInputs:
         ("train", _one_split("test"), cli.EXIT_DATA, ["one_split", "no train-split trials"]),
         ("tune", _one_split("train"), cli.EXIT_DATA, ["one_split", "no test-split trials"]),
         ("tune", _one_split("test"), cli.EXIT_DATA, ["one_split", "no train-split trials"]),
+        ("train", _dataset_file(_replace_by_directory), cli.EXIT_DATA,
+         ["cannot read", "trial_0_1_0.csv"]),
+        ("train", _dataset_file(lambda copy, trial: _insert_0xff(trial)), cli.EXIT_DATA,
+         ["cannot read", "trial_0_1_0.csv", "utf-8"]),
+        ("train", _dataset_file(lambda copy, trial: _insert_0xff(copy / "manifest.csv")),
+         cli.EXIT_DATA, ["cannot read", "manifest.csv", "utf-8"]),
+        ("train", _non_utf8("--config", "bad.txt"), cli.EXIT_CONFIG, ["bad.txt", "utf-8"]),
+        ("tune", _non_utf8("--grid", "bad_grid.txt"), cli.EXIT_CONFIG, ["bad_grid.txt", "utf-8"]),
     ], ids=["missing-checkpoint", "unknown-layer", "misspelt-layer-key", "no-scaler",
             "scaler-35x2", "filter-order", "band-edges", "target-frames", "image-width",
             "pools", "cut-trial", "bare-version", "config-count", "dtype", "non-utf8-header",
@@ -362,7 +401,9 @@ class TestBadInputs:
             "config-dense-units", "spec-dropout-rate", "eval-override-model",
             "eval-override-dtype", "batch-size", "learning-rate-nan", "filter-low-nan",
             "dense-units", "conv-filters", "l2-inf", "min-delta-nan", "seed",
-            "train-all-train", "train-all-test", "tune-all-train", "tune-all-test"])
+            "train-all-train", "train-all-test", "tune-all-train", "tune-all-test",
+            "trial-is-directory", "non-utf8-trial", "non-utf8-manifest", "non-utf8-config",
+            "non-utf8-grid"])
     def test_exit_code_names_the_input(self, trained, tiny_dataset_dir, tiny_config,
                                        tiny_config_file, tmp_path, capsys,
                                        command, spoil, code, named):

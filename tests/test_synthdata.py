@@ -3,13 +3,16 @@ dataset round trip with its error reporting."""
 
 import csv
 import io
+import multiprocessing
+import threading
+import time
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from liftrisk import signals, synthdata
+from liftrisk import signals, synthdata, workers
 from liftrisk.errors import (ChannelCountMismatchError, DataError, MalformedRowError,
                              MissingTrialFileError)
 from liftrisk.synthdata import (DatasetProfile, Manifest, ManifestEntry,
@@ -18,6 +21,9 @@ from liftrisk.synthdata import (DatasetProfile, Manifest, ManifestEntry,
 
 SMALL = DatasetProfile(n_subjects=2, trials_per_zone_per_subject=1,
                        duration_low_s=2.0, duration_high_s=3.0, seed=5)
+# 48 trials: three tasks of worker processes
+MULTI_TASK = DatasetProfile(n_subjects=4, trials_per_zone_per_subject=1,
+                            duration_low_s=2.0, duration_high_s=3.0, seed=5)
 
 
 class TestZoneToRisk:
@@ -219,15 +225,16 @@ class TestSaveLoad:
 
 class TestTrialFiles:
     def test_writer_bytes_match_csv_writer(self, tmp_path):
-        trials, manifest = generate_dataset(SMALL)
-        save_dataset(tmp_path, trials[:1], Manifest(entries=manifest.entries[:1]))
-        oracle = io.StringIO(newline="")
-        w = csv.writer(oracle)
-        w.writerow(synthdata.TRIAL_HEADER)
-        for frame in range(trials[0].n_frames):
-            w.writerow([frame] + [repr(float(v)) for v in trials[0].channels[:, frame]])
-        written = (tmp_path / manifest.entries[0].trial_file).read_bytes()
-        assert written == oracle.getvalue().encode()
+        trials, manifest = generate_dataset(MULTI_TASK)
+        assert len(trials) > 2 * synthdata.TRIALS_PER_TASK
+        save_dataset(tmp_path, trials, manifest)
+        for trial, entry in zip(trials, manifest.entries):
+            oracle = io.StringIO(newline="")
+            w = csv.writer(oracle)
+            w.writerow(synthdata.TRIAL_HEADER)
+            for frame in range(trial.n_frames):
+                w.writerow([frame] + [repr(float(v)) for v in trial.channels[:, frame]])
+            assert (tmp_path / entry.trial_file).read_bytes() == oracle.getvalue().encode()
 
     def test_saved_file_takes_the_whole_file_parse(self, tmp_path):
         trials, manifest = generate_dataset(SMALL)
@@ -268,6 +275,101 @@ class TestTrialFiles:
             assert got == want
         else:
             assert _same_bits(got, want)
+
+
+def _spoil(path, fault):
+    """Give the trial file at `path` one fault the reader reports."""
+    lines = path.read_bytes().split(b"\r\n")
+    if fault == "cut":
+        path.write_bytes(b"\r\n".join(lines[:10]) + b"\r\n")
+    elif fault == "bad value":
+        lines[3] = lines[3].replace(b",", b",x", 1)
+        path.write_bytes(b"\r\n".join(lines))
+    elif fault == "0xff":
+        lines[4] = lines[4].replace(b",", b",\xff", 1)
+        path.write_bytes(b"\r\n".join(lines))
+    else:
+        assert fault == "directory"
+        path.unlink()
+        path.mkdir()
+
+
+def _error(exc: DataError):
+    return type(exc), exc.path, exc.line, str(exc)
+
+
+class TestWorkers:
+    """load_dataset and save_dataset hand their trials to worker processes,
+    TRIALS_PER_TASK at a time; errors and results keep manifest order."""
+
+    @pytest.mark.parametrize("faults", [
+        [(17, "bad value"), (40, "cut")],
+        [(15, "cut"), (16, "bad value")],   # the later task fails first
+        [(30, "0xff"), (33, "directory")],
+        [(2, "directory"), (47, "0xff")],
+    ], ids=["value-then-cut", "late-then-early", "0xff-then-directory", "directory-then-0xff"])
+    def test_first_fault_in_manifest_order(self, tmp_path, faults):
+        trials, manifest = generate_dataset(MULTI_TASK)
+        save_dataset(tmp_path, trials, manifest)
+        tasks = {i // synthdata.TRIALS_PER_TASK for i, _ in faults}
+        assert len(tasks) == 2
+        for i, fault in faults:
+            _spoil(tmp_path / manifest.entries[i].trial_file, fault)
+        first = manifest.entries[faults[0][0]]
+        with pytest.raises(DataError) as serial:
+            synthdata._load_trial(tmp_path / first.trial_file, first)
+        with pytest.raises(DataError) as parallel:
+            load_dataset(tmp_path)
+        assert _error(parallel.value) == _error(serial.value)
+        assert first.trial_file in str(parallel.value)
+
+    def test_no_worker_or_thread_outlives_a_call(self, tmp_path):
+        trials, manifest = generate_dataset(MULTI_TASK)
+        threads = threading.active_count()
+        save_dataset(tmp_path, trials, manifest)
+        assert multiprocessing.active_children() == []
+        assert threading.active_count() == threads
+        loaded, _ = load_dataset(tmp_path)
+        assert len(loaded) == len(trials)
+        assert multiprocessing.active_children() == []
+        assert threading.active_count() == threads
+        _spoil(tmp_path / manifest.entries[20].trial_file, "cut")
+        with pytest.raises(MalformedRowError):
+            load_dataset(tmp_path)
+        assert multiprocessing.active_children() == []
+        assert threading.active_count() == threads
+
+    def test_no_worker_outlives_an_interrupt(self, tmp_path, monkeypatch):
+        trials, manifest = generate_dataset(MULTI_TASK)
+        save_dataset(tmp_path, trials, manifest)
+
+        def interrupted(connections):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(workers, "wait", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            load_dataset(tmp_path)
+        assert multiprocessing.active_children() == []
+
+    def test_results_in_item_order_and_first_error_wins(self):
+        def slow_squares(i):
+            time.sleep(0.02 * (i % 3))
+            return i * i
+
+        assert workers.map_in_workers(slow_squares, 23, 4) == [i * i for i in range(23)]
+        assert workers.map_in_workers(slow_squares, 0, 4) == []
+
+        def fails_at_5_late_and_at_9(i):
+            if i == 5:
+                time.sleep(0.3)
+                raise ValueError(5)
+            if i == 9:
+                raise ValueError(9)
+            return i
+
+        with pytest.raises(ValueError, match="5"):
+            workers.map_in_workers(fails_at_5_late_and_at_9, 40, 4)
+        assert multiprocessing.active_children() == []
 
 
 def _same_bits(a, b) -> bool:

@@ -22,7 +22,7 @@ import numpy as np
 from .errors import ChannelCountMismatchError, DataError, MalformedRowError, MissingTrialFileError
 from .fileio import lines_text, write_file
 from .signals import N_AXES, N_CHANNELS, N_SENSORS, SAMPLE_RATE_HZ, TrialRecording
-from .workers import map_in_workers
+from .workers import WorkerLostError, map_in_workers
 
 RISK_CLASSES = ("low", "medium", "high")
 
@@ -224,6 +224,17 @@ MANIFEST_HEADER = ["trial_file", "subject_id", "zone", "trial_index", "frame_cou
 TRIALS_PER_TASK = 16
 
 
+def _map_trials(fn, directory: Path, entries: list[ManifestEntry], doing: str) -> list:
+    """[fn(i) for each trial i], in worker processes; a worker that ends
+    without replying is a DataError naming the trial files it was on."""
+    try:
+        return map_in_workers(fn, len(entries), TRIALS_PER_TASK)
+    except WorkerLostError as exc:
+        first, last = (directory / entries[i].trial_file for i in (exc.items[0], exc.items[-1]))
+        raise DataError(f"a worker process ended while {doing} {first} to {last}",
+                        path=str(first)) from exc
+
+
 def save_dataset(directory, trials: list[TrialRecording], manifest: Manifest) -> None:
     """The manifest, then every trial file, each written by worker processes
     (`workers.map_in_workers`) with the bytes csv.writer would write."""
@@ -239,7 +250,7 @@ def save_dataset(directory, trials: list[TrialRecording], manifest: Manifest) ->
         write_file(directory / manifest.entries[i].trial_file,
                    lines_text([",".join(TRIAL_HEADER), *rows], end="\r\n"))
 
-    map_in_workers(write_trial, len(trials), TRIALS_PER_TASK)
+    _map_trials(write_trial, directory, manifest.entries, "writing")
 
 
 def write_manifest(path, manifest: Manifest, comments=(), end: str = "\r\n") -> None:
@@ -310,8 +321,8 @@ def load_dataset(directory, manifest: Manifest | None = None,
     if manifest is None:
         manifest = load_manifest(directory)
     entries = manifest.entries
-    trials = map_in_workers(lambda i: _load_trial(directory / entries[i].trial_file, entries[i]),
-                            len(entries), TRIALS_PER_TASK)
+    trials = _map_trials(lambda i: _load_trial(directory / entries[i].trial_file, entries[i]),
+                         directory, entries, "reading")
     return trials, manifest
 
 

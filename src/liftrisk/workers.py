@@ -13,7 +13,17 @@ from __future__ import annotations
 import multiprocessing
 import os
 import signal
+import warnings
 from multiprocessing.connection import wait
+
+
+class WorkerLostError(RuntimeError):
+    """A worker process ended without replying, for example when it was
+    killed; `items` are the items of the task it was on."""
+
+    def __init__(self, items: range):
+        super().__init__(f"a worker process ended while on items {items.start}-{items.stop - 1}")
+        self.items = items
 
 
 def map_in_workers(fn, n_items: int, task_size: int) -> list:
@@ -23,7 +33,8 @@ def map_in_workers(fn, n_items: int, task_size: int) -> list:
     Results are received and unpickled in the calling thread, so their memory
     is allocated as if this thread had computed them.  When an item raises,
     no further task starts; once the tasks in flight end, the exception of the
-    first failing item in item order is raised.  No worker outlives the call,
+    first failing item in item order is raised, or WorkerLostError for a task
+    whose worker ended without replying.  No worker outlives the call,
     whether it returns, raises or is interrupted.
     """
     tasks = [(start, min(start + task_size, n_items)) for start in range(0, n_items, task_size)]
@@ -32,12 +43,19 @@ def map_in_workers(fn, n_items: int, task_size: int) -> list:
     context = multiprocessing.get_context("fork")
     workers = []
     try:
-        for _ in range(min(len(os.sched_getaffinity(0)), len(tasks))):
-            ours, theirs = context.Pipe()
-            process = context.Process(target=_serve, args=(fn, theirs), daemon=True)
-            process.start()
-            workers.append((process, ours))
-            theirs.close()  # so a worker that dies is seen as end of file
+        with warnings.catch_warnings():
+            # Python 3.12+ warns that fork() in a process with other threads
+            # (numpy's BLAS pool, say) may deadlock the child, should one of
+            # those threads hold a lock.  The child only runs `fn`, which
+            # takes none of their locks.
+            warnings.filterwarnings("ignore", "This process .* is multi-threaded, use of fork",
+                                    DeprecationWarning)
+            for _ in range(min(len(os.sched_getaffinity(0)), len(tasks))):
+                ours, theirs = context.Pipe()
+                process = context.Process(target=_serve, args=(fn, theirs), daemon=True)
+                process.start()
+                workers.append((process, ours))
+                theirs.close()  # so a worker that dies is seen as end of file
         idle = [conn for _, conn in workers]
         busy: dict = {}   # connection -> index of the task it runs
         next_task = 0
@@ -54,9 +72,7 @@ def map_in_workers(fn, n_items: int, task_size: int) -> list:
                 try:
                     ok, value = conn.recv()
                 except EOFError:
-                    ok, value = False, RuntimeError(
-                        f"a worker process ended while on items {tasks[task][0]}-"
-                        f"{tasks[task][1] - 1}")
+                    ok, value = False, WorkerLostError(range(*tasks[task]))
                 if ok:
                     results[task] = value
                 else:
@@ -76,10 +92,10 @@ def map_in_workers(fn, n_items: int, task_size: int) -> list:
 def _serve(fn, conn) -> None:
     """Run each task (start, stop) received on `conn` and send back
     (True, results) or (False, the exception of its first failing item)."""
-    # an interrupt is the caller's to handle, and the caller's SIGTERM
-    # handler, if it set one, is not this worker's: terminate() ends it
+    # an interrupt is the caller's to handle; terminate() ends the worker
+    # through SystemExit, so a file write in progress removes its temporary
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGTERM, _exit_on_terminate)
     while True:
         try:
             start, stop = conn.recv()
@@ -90,3 +106,7 @@ def _serve(fn, conn) -> None:
         except Exception as exc:
             reply = (False, exc)
         conn.send(reply)
+
+
+def _exit_on_terminate(signum, frame) -> None:
+    raise SystemExit(1)

@@ -1,5 +1,6 @@
 """CLI commands end to end at tiny scale: outputs, determinism, exit codes."""
 
+import os
 import shutil
 import warnings
 from dataclasses import fields, replace
@@ -86,6 +87,22 @@ class TestTrain:
         assert any(l.startswith("epoch,loss,accuracy") for l in history_lines)
         manifest_text = (tmp_path / "out" / "model_manifest.csv").read_text()
         assert ",train" in manifest_text and ",test" in manifest_text
+
+    def test_lost_worker_exit_3(self, tiny_dataset_dir, tiny_config_file, tmp_path, capsys,
+                                monkeypatch):
+        load_trial = synthdata._load_trial
+
+        def killed_on_first(path, entry):
+            if entry.trial_file == "trials/trial_0_1_0.csv":
+                os._exit(1)   # as a worker killed from outside ends
+            return load_trial(path, entry)
+
+        monkeypatch.setattr(synthdata, "_load_trial", killed_on_first)
+        rc = run(["train", "--data", str(tiny_dataset_dir), "--config",
+                  str(tiny_config_file), "--out", str(tmp_path / "m.ckpt")])
+        err = capsys.readouterr().err
+        assert rc == cli.EXIT_DATA, err
+        assert "worker process ended while reading" in err and "trial_0_1_0.csv" in err
 
     def test_unknown_config_key_exit_2(self, tiny_dataset_dir, tmp_path, capsys):
         bad = tmp_path / "bad.txt"

@@ -4,8 +4,11 @@ dataset round trip with its error reporting."""
 import csv
 import io
 import multiprocessing
+import os
 import threading
 import time
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -294,6 +297,10 @@ def _spoil(path, fault):
         path.mkdir()
 
 
+def _temporaries(directory):
+    return [p for p in directory.rglob("*") if p.name.endswith(".tmp")]
+
+
 def _error(exc: DataError):
     return type(exc), exc.path, exc.line, str(exc)
 
@@ -350,6 +357,78 @@ class TestWorkers:
         with pytest.raises(KeyboardInterrupt):
             load_dataset(tmp_path)
         assert multiprocessing.active_children() == []
+
+    def test_save_interrupted_mid_write_leaves_no_temporary_file(self, tmp_path, monkeypatch):
+        trials, manifest = generate_dataset(MULTI_TASK)
+        replace = os.replace
+
+        def stuck_on_trials(src, dst):
+            if Path(dst).name != "manifest.csv":
+                time.sleep(60)   # a worker, inside write_file, its .tmp written
+            replace(src, dst)
+
+        def interrupted_once_writing(connections):
+            deadline = time.monotonic() + 30
+            while not _temporaries(tmp_path) and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert _temporaries(tmp_path)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(os, "replace", stuck_on_trials)
+        monkeypatch.setattr(workers, "wait", interrupted_once_writing)
+        with pytest.raises(KeyboardInterrupt):
+            save_dataset(tmp_path, trials, manifest)
+        assert multiprocessing.active_children() == []
+        assert _temporaries(tmp_path) == []
+
+    def test_lost_worker_is_a_data_error_naming_its_trial_files(self, tmp_path, monkeypatch):
+        trials, manifest = generate_dataset(MULTI_TASK)
+        save_dataset(tmp_path, trials, manifest)
+        lost = manifest.entries[20].trial_file
+        load_trial = synthdata._load_trial
+
+        def killed_on_one(path, entry):
+            if entry.trial_file == lost:
+                os._exit(1)
+            return load_trial(path, entry)
+
+        monkeypatch.setattr(synthdata, "_load_trial", killed_on_one)
+        with pytest.raises(DataError, match="worker process ended while reading") as caught:
+            load_dataset(tmp_path)
+        task = manifest.entries[16:32]
+        assert caught.value.path == str(tmp_path / task[0].trial_file)
+        assert task[-1].trial_file in str(caught.value)
+        assert multiprocessing.active_children() == []
+
+    def test_worker_that_dies_is_worker_lost(self):
+        def dies_at_6(i):
+            if i == 6:
+                os._exit(1)
+            return i
+
+        with pytest.raises(workers.WorkerLostError) as caught:
+            workers.map_in_workers(dies_at_6, 12, 4)
+        assert caught.value.items == range(4, 8)
+        assert multiprocessing.active_children() == []
+
+    def test_fork_in_a_threaded_process_is_no_warning(self, tmp_path, monkeypatch):
+        # Python 3.12+ warns, as below, on fork() in a process with other
+        # threads, which numpy's BLAS pool may be; warnings are errors here
+        fork = os.fork
+
+        def warning_fork():
+            pid = fork()
+            if pid:
+                warnings.warn(f"This process (pid={os.getpid()}) is multi-threaded, use of "
+                              "fork() may lead to deadlocks in the child.",
+                              DeprecationWarning, stacklevel=2)
+            return pid
+
+        monkeypatch.setattr(os, "fork", warning_fork)
+        trials, manifest = generate_dataset(SMALL)
+        save_dataset(tmp_path, trials, manifest)
+        loaded, _ = load_dataset(tmp_path)
+        assert len(loaded) == len(trials)
 
     def test_results_in_item_order_and_first_error_wins(self):
         def slow_squares(i):

@@ -1,6 +1,6 @@
 """Every output file of the desk reference run, with its sha256.
 
-    python3 scripts/desk_outputs.py OUT [--src SRC]
+    python3 scripts/desk_outputs.py OUT [--src SRC] [--check FILE]
 
 Runs, into the directory OUT (missing or empty):
 
@@ -14,7 +14,11 @@ then prints one `sha256  path` line per file under OUT, sorted by path, to
 stdout, and each command's wall time to stderr.
 `--src` names the `src` directory whose liftrisk runs (default: the one
 beside this script), so one copy of the script runs any checkout; two runs'
-printouts diff line by line.  A desk run takes a few minutes.
+printouts diff line by line.  With `--check FILE`, a printout saved from
+another checkout, it prints instead each line that differs ("-" for FILE's
+line, "+" for this run's) and exits 1 on any difference.  Hashes depend on
+the BLAS thread count, so compare printouts made on one machine with the
+same thread setting.  A desk run takes a few minutes.
 """
 
 from __future__ import annotations
@@ -34,10 +38,16 @@ def main() -> int:
     parser.add_argument("out", type=Path, help="directory to write into (missing or empty)")
     parser.add_argument("--src", type=Path, default=Path(__file__).resolve().parent.parent / "src",
                         help="directory holding the liftrisk package to run")
+    parser.add_argument("--check", type=Path, metavar="FILE",
+                        help="compare this run's lines with a saved printout")
     args = parser.parse_args()
     out = args.out.resolve()
     if out.exists() and any(out.iterdir()):
         parser.error(f"{out} is not empty")
+    try:  # read first: a run takes minutes
+        saved = None if args.check is None else args.check.read_text().splitlines()
+    except OSError as exc:
+        parser.error(f"cannot read --check file: {exc}")
     sys.path.insert(0, str(args.src.resolve()))
     from liftrisk import cli
 
@@ -61,9 +71,19 @@ def main() -> int:
         if code != 0:
             print(f"liftrisk {argv[0]} exited with {code}", file=sys.stderr)
             return code
-    for path in sorted(p for p in out.rglob("*") if p.is_file()):
-        print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.relative_to(out)}")
-    return 0
+    lines = [f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.relative_to(out)}"
+             for path in sorted(p for p in out.rglob("*") if p.is_file())]
+    if saved is None:
+        print("\n".join(lines))
+        return 0
+    ours, theirs = set(lines), set(saved)
+    differ = [f"- {line}" for line in saved if line not in ours]
+    differ += [f"+ {line}" for line in lines if line not in theirs]
+    for line in differ:
+        print(line)
+    print(f"{len(differ)} lines differ between {args.check} ({len(saved)} lines) and this run "
+          f"({len(lines)} lines)", file=sys.stderr)
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":

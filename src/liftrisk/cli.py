@@ -3,9 +3,10 @@
 Commands: synth (generate a dataset), train (full pipeline to a checkpoint),
 eval (metrics for a checkpoint on a dataset), saliency (attribution maps),
 tune (hyperparameter grid search).  Exit codes: 0 success, 2 usage or config
-error, 3 unreadable or malformed data, 4 training divergence, 5 checkpoint
-mismatch.  Every command is deterministic given its inputs and seed, and no
-command mutates its input dataset directory.
+error or an output path that cannot be written, 3 unreadable or malformed
+data, 4 training divergence, 5 checkpoint mismatch.  Every command is
+deterministic given its inputs and seed, and no command mutates its input
+dataset directory.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from . import hypertune, metrics, pipeline, saliency, signals, synthdata, traine
 from .config import PipelineConfig, desk_config, load_config, parse_kv_lines
 from .errors import (CheckpointMismatchError, ConfigError, DataError,
                      TrainingDivergedError)
-from .fileio import lines_text, write_file
+from .fileio import check_writable, lines_text, write_file
 from .imaging import image_shape
 from .nncore import Model
 
@@ -87,6 +88,7 @@ def main(argv=None) -> int:
 
 def cmd_synth(args) -> int:
     out = Path(args.out)
+    check_writable(out, directory=True)
     if out.exists() and any(out.iterdir()) and not args.force:
         raise DataError(f"output directory {out} is not empty (use --force to overwrite)")
     if args.profile == "desk":
@@ -111,6 +113,7 @@ def _comment_header(config: PipelineConfig) -> list[str]:
 
 def cmd_train(args) -> int:
     config = PipelineConfig() if args.config is None else load_config(args.config)
+    check_writable(args.out)
     result = pipeline.run_training(args.data, config)
 
     ckpt = Path(args.out)
@@ -146,6 +149,8 @@ def _eval_config(model: Model, path) -> PipelineConfig:
 
 
 def cmd_eval(args) -> int:
+    if args.out:
+        check_writable(args.out)
     model, config, scaler = pipeline.load_trained(args.model)
     if args.config is not None:
         config = _eval_config(model, args.config)
@@ -160,6 +165,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_saliency(args) -> int:
+    check_writable(args.out, directory=True)
     model, config, scaler = pipeline.load_trained(args.model)
     # the test trials of the class alone: the checkpoint's scaler is fixed,
     # so each trial's image is the one a whole test split would give it
@@ -197,8 +203,7 @@ def load_grid(path, config: PipelineConfig) -> hypertune.GridSpec:
     values = parse_kv_lines(text.splitlines(), _GRID_PARSERS, source=str(path))
     try:
         grid = hypertune.GridSpec(base=config, **values)
-        for cell in grid.cells():
-            grid.config(cell)
+        grid.cells()  # builds, so checks, every cell's config
     except (ValueError, ConfigError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     return grid
@@ -207,6 +212,7 @@ def load_grid(path, config: PipelineConfig) -> hypertune.GridSpec:
 def cmd_tune(args) -> int:
     config = PipelineConfig() if args.config is None else load_config(args.config)
     grid = load_grid(args.grid, config)  # every grid value is checked before the data loads
+    check_writable(args.out)
     # no local holds the raw trials: they are freed once prepare returns
     data = pipeline.prepare(*pipeline.load_split(args.data, config), config)
     results = hypertune.grid_search(grid, data.images, data.labels, data.train_idx, data.test_idx)
@@ -217,14 +223,15 @@ def cmd_tune(args) -> int:
         if cell.history is not None:
             trainer.write_history_csv(out.parent / f"{out.stem}_cell{i:03d}_history.csv",
                                       cell.history,
-                                      [f"cell {i}: l2_lambda={cell.l2_lambda!r} "
-                                       f"learning_rate={cell.learning_rate!r} "
-                                       f"dropout_rate={cell.dropout_rate!r} seed={cell.seed}"])
+                                      [f"cell {i}: l2_lambda={cell.config.l2_lambda!r} "
+                                       f"learning_rate={cell.config.learning_rate!r} "
+                                       f"dropout_rate={cell.config.dropout_rate!r} "
+                                       f"seed={cell.config.seed}"])
     best = hypertune.ranked(results)
     if best:
-        b = best[0]
+        b = best[0].config
         print(f"best cell: l2_lambda={b.l2_lambda!r} learning_rate={b.learning_rate!r} "
-              f"dropout_rate={b.dropout_rate!r} R_K={b.rk:.4f}")
+              f"dropout_rate={b.dropout_rate!r} R_K={best[0].rk:.4f}")
     print(f"results: {out}")
     return 0
 

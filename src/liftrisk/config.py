@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .imaging import image_shape
-from .nncore import AvgPool, MaxPool, Model, build_preset, pool_shape
+from .nncore import AvgPool, BatchNorm, MaxPool, Model, build_preset, pool_shape
 from .signals import SAMPLE_RATE_HZ, SCALER_MODES, check_band
 from .synthdata import RISK_CLASSES
 
@@ -75,6 +75,9 @@ class PipelineConfig:
                      self.l2_lambda)
             raise ConfigError(f"model_preset, conv_filters, dense_units, dropout_rate, l2_lambda "
                               f"= {model}: {exc}") from exc
+        if self.batch_size == 1 and self.batch_norm:
+            raise ConfigError(f"batch_size = 1 with model_preset = {self.model_preset}: its "
+                              f"batch normalization trains on batches of two or more")
         size = f"target_frames = {self.target_frames}, image_width = {self.image_width}"
         try:
             shape = pooled = image_shape(self.target_frames, self.image_width)
@@ -92,6 +95,11 @@ class PipelineConfig:
         """The unbuilt model; its layers hold the bounds of their sizes, rate and L2 weight."""
         return build_preset(self.model_preset, len(RISK_CLASSES), self.conv_filters,
                             self.dense_units, self.dropout_rate, self.l2_lambda)
+
+    @property
+    def batch_norm(self) -> bool:
+        """Whether the preset has a BatchNorm layer, which trains on batches of two or more."""
+        return any(isinstance(layer, BatchNorm) for layer in self.preset().layers)
 
     @property
     def np_dtype(self):

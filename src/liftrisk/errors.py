@@ -9,6 +9,10 @@ class ConfigError(LiftriskError):
     """Invalid or unparseable configuration (CLI exit 2)."""
 
 
+class OutputPathError(ConfigError):
+    """An output path that cannot be written (CLI exit 2)."""
+
+
 class DataError(LiftriskError):
     """Unreadable or malformed dataset (CLI exit 3)."""
 

@@ -3,6 +3,8 @@
 import os
 from pathlib import Path
 
+from .errors import OutputPathError
+
 
 def write_file(path, data: str | bytes) -> None:
     """Write `data` (a str as UTF-8) to `.<name>.<hex>.tmp` beside `path`, with
@@ -19,6 +21,21 @@ def write_file(path, data: str | bytes) -> None:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def check_writable(path, directory: bool = False) -> None:
+    """Raise OutputPathError naming `path` unless write_file can write it or,
+    with `directory`, files in it: it is not of the other kind, and its
+    nearest existing ancestor is a directory this process may write in."""
+    path = Path(path)
+    if os.path.exists(path) and os.path.isdir(path) != directory:
+        raise OutputPathError(f"output {path} {'is not' if directory else 'is'} a directory")
+    ancestor = path if directory else path.parent
+    while not os.path.exists(ancestor):
+        ancestor = ancestor.parent
+    if not (os.path.isdir(ancestor) and os.access(ancestor, os.W_OK | os.X_OK)):
+        raise OutputPathError(f"cannot write output {path}: {ancestor} is not a writable "
+                              f"directory")
 
 
 def lines_text(lines, comments=(), end: str = "\n") -> str:

@@ -37,26 +37,20 @@ class GridSpec:
             raise ValueError("repeats must be >= 1")
 
     def cells(self) -> list[TuneCell]:
-        """Unscored cells in grid order: lambdas x alphas x dropouts x repeats."""
+        """Unscored cells in grid order, lambdas x alphas x dropouts x repeats:
+        each holds the base config with its L2 weight, learning rate, dropout and seed."""
         combos = itertools.product(self.lambdas, self.alphas, self.dropouts,
                                    range(self.repeats))
-        return [TuneCell(l2_lambda=lam, learning_rate=alpha, dropout_rate=drop, repeat=rep,
-                         seed=self.base.seed + CELL_SEED_STRIDE * index + rep)
+        return [TuneCell(replace(self.base, l2_lambda=lam, learning_rate=alpha,
+                                 dropout_rate=drop,
+                                 seed=self.base.seed + CELL_SEED_STRIDE * index + rep), rep)
                 for index, (lam, alpha, drop, rep) in enumerate(combos)]
-
-    def config(self, cell: TuneCell) -> PipelineConfig:
-        """The base config with the cell's L2 weight, learning rate, dropout rate and seed."""
-        return replace(self.base, l2_lambda=cell.l2_lambda, learning_rate=cell.learning_rate,
-                       dropout_rate=cell.dropout_rate, seed=cell.seed)
 
 
 @dataclass
 class TuneCell:
-    l2_lambda: float
-    learning_rate: float
-    dropout_rate: float
+    config: PipelineConfig
     repeat: int
-    seed: int
     rk: float = float("nan")
     accuracy: float = float("nan")
     final_loss: float = float("nan")
@@ -72,7 +66,7 @@ def grid_search(grid: GridSpec, images: np.ndarray, labels: np.ndarray,
     results: list[TuneCell] = []
     for cell in grid.cells():
         try:
-            model, history = pipeline.fit(grid.config(cell), images, labels, train_rows)
+            model, history = pipeline.fit(cell.config, images, labels, train_rows)
         except TrainingDivergedError:
             cell.failed = True
             results.append(cell)
@@ -96,8 +90,8 @@ def ranked(results: list[TuneCell]) -> list[TuneCell]:
 def write_results_csv(path, results: list[TuneCell], comments=()) -> None:
     order = ranked(results)
     rank_of = {id(c): r + 1 for r, c in enumerate(order)}
-    rows = [f"{c.l2_lambda!r},{c.learning_rate!r},{c.dropout_rate!r},{c.repeat},{c.seed},"
-            f"{c.rk!r},{c.accuracy!r},{c.final_loss!r},{c.epochs_run},{c.failed},"
-            f"{rank_of.get(id(c), '')}" for c in results]
+    rows = [f"{c.config.l2_lambda!r},{c.config.learning_rate!r},{c.config.dropout_rate!r},"
+            f"{c.repeat},{c.config.seed},{c.rk!r},{c.accuracy!r},{c.final_loss!r},{c.epochs_run},"
+            f"{c.failed},{rank_of.get(id(c), '')}" for c in results]
     write_file(path, lines_text(["l2_lambda,learning_rate,dropout_rate,repeat,seed,rk,accuracy,"
                                  "final_loss,epochs_run,failed,rank", *rows], comments))

@@ -37,13 +37,14 @@ class EncodedImage:
         return N_SENSORS * self.frames
 
     def to_rowcol(self, sensor: int, frame: int) -> tuple[int, int]:
+        """The pixel of a sensor at a frame; the reference tests check the wrap against."""
         if not 0 <= sensor < N_SENSORS or not 0 <= frame < self.frames:
             raise ValueError(f"(sensor={sensor}, frame={frame}) outside the non-padded region")
         k = frame * N_SENSORS + sensor
         return k // self.width, k % self.width
 
     def to_sensor_frame(self, row: int, col: int) -> tuple[int, int] | None:
-        """Inverse map; None for padding cells."""
+        """Inverse map; None for padding cells.  A reference for tests, as to_rowcol is."""
         k = row * self.width + col
         if k >= self.pad_start:
             return None
@@ -92,6 +93,7 @@ def unwrap_attribution(a: np.ndarray, img: EncodedImage) -> np.ndarray:
 
 
 def unwrap_image(img: EncodedImage) -> np.ndarray:
-    """Full inverse of wrap_image on the non-padded region: [12, frames, 3]."""
+    """Full inverse of wrap_image on the non-padded region: [12, frames, 3].
+    Kept as the reference that tests check the batched wrap_image against."""
     planes = [unwrap_attribution(img.pixels[:, :, k], img) for k in range(N_AXES)]
     return np.stack(planes, axis=2)

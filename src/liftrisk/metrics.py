@@ -37,14 +37,6 @@ class ConfusionMatrix:
         return int(self.counts.sum())
 
 
-@dataclass
-class ClassTally:
-    tp: int
-    fp: int
-    fn: int
-    tn: int
-
-
 def confusion(preds, truths, k: int, class_names=RISK_CLASSES) -> ConfusionMatrix:
     preds = np.asarray(preds, dtype=np.int64)
     truths = np.asarray(truths, dtype=np.int64)
@@ -57,24 +49,14 @@ def confusion(preds, truths, k: int, class_names=RISK_CLASSES) -> ConfusionMatri
     return ConfusionMatrix(counts, class_names=tuple(class_names)[:k])
 
 
-def class_tally(c: ConfusionMatrix, k: int) -> ClassTally:
-    tp = int(c.counts[k, k])
-    fp = int(c.counts[:, k].sum()) - tp
-    fn = int(c.counts[k, :].sum()) - tp
-    tn = c.total - tp - fp - fn
-    return ClassTally(tp=tp, fp=fp, fn=fn, tn=tn)
-
-
 def precision(c: ConfusionMatrix, k: int) -> float:
-    t = class_tally(c, k)
-    denom = t.tp + t.fp
-    return t.tp / denom if denom else 0.0
+    predicted = int(c.counts[:, k].sum())
+    return int(c.counts[k, k]) / predicted if predicted else 0.0
 
 
 def recall(c: ConfusionMatrix, k: int) -> float:
-    t = class_tally(c, k)
-    denom = t.tp + t.fn
-    return t.tp / denom if denom else 0.0
+    true = int(c.counts[k, :].sum())
+    return int(c.counts[k, k]) / true if true else 0.0
 
 
 def f_measure(c: ConfusionMatrix, k: int) -> float:

@@ -39,12 +39,17 @@ def assign_split(manifest: Manifest, config: PipelineConfig) -> Manifest:
 
 def _split_manifest(directory, config: PipelineConfig, splits) -> Manifest:
     """The directory's whole manifest, split as `prepare` splits it; each of
-    `splits` that holds no trial is a DataError, raised before any trial
-    file is read."""
+    `splits` that holds no trial, or a train split of one trial for a preset
+    with batch normalization, is a DataError, raised before any trial file
+    is read."""
     manifest = assign_split(synthdata.load_manifest(directory), config)
     for split in splits:
-        if not any(e.split == split for e in manifest.entries):
+        count = sum(e.split == split for e in manifest.entries)
+        if not count:
             raise DataError(f"no {split}-split trials in {directory}", path=str(directory))
+        if split == "train" and count == 1 and config.batch_norm:
+            raise DataError(f"one train-split trial in {directory}: the batch normalization of "
+                            f"{config.model_preset} trains on two or more", path=str(directory))
     return manifest
 
 

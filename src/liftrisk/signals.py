@@ -191,13 +191,15 @@ def _response_at(sections: list[Section], freq_hz: float, sample_rate_hz: float)
 
 
 def frequency_response(f: BandpassFilter, freq_hz: float) -> complex:
-    """H(e^{j*2*pi*f/fs}) evaluated from the section coefficients."""
+    """H(e^{j*2*pi*f/fs}) evaluated from the section coefficients.
+    Kept as the reference that tests check the designed band against."""
     return _response_at(f.sections, freq_hz, f.sample_rate_hz)
 
 
 def filter_channel(x, f: BandpassFilter) -> np.ndarray:
     """Causal single-pass filtering, direct form II transposed per section.
-    The input is copied, never overwritten."""
+    The input is copied, never overwritten.  Kept as the one-channel
+    reference that tests check the batched filter_trial against."""
     y = np.array(x, dtype=np.float64)
     if y.size == 0:
         raise ValueError("input sequence must be non-empty")

@@ -68,41 +68,36 @@ def desk_profile(seed: int = 42) -> DatasetProfile:
     return DatasetProfile(duration_low_s=8.0, duration_high_s=10.0, seed=seed)
 
 
-@dataclass
-class GeneratorParams:
-    """Signal-shape knobs; class separation must stay strict with margin.
-
-    Every sensor moves (base_activity), but the class-dependent amplitude
-    ramp enters through the per-sensor emphasis, so back and wrist channels
-    carry almost all of the class signal while side/arm/thigh channels stay
-    active yet nearly uninformative.  Per-channel standardization preserves
-    within-channel class contrast, so this structure survives preprocessing.
-    """
-
-    noise_sd: float = 0.25
-    base_amplitude: float = 1.0
-    base_activity: float = 0.6
-    class_ramp: tuple[float, float, float] = (0.4, 1.7, 3.6)  # low, medium, high
-    burst_freq_low_hz: float = 3.0
-    burst_freq_high_hz: float = 9.0
-    burst_seconds: float = 1.6
-    back_emphasis: float = 1.2
-    wrist_emphasis: float = 0.75
-    other_emphasis: float = 0.05
-    subject_gain_jitter: float = 0.18
-    subject_offset_jitter_s: float = 0.4
-
+# The signal shape of every generated trial; class separation must stay
+# strict with margin.  Every sensor moves (BASE_ACTIVITY), but the
+# class-dependent amplitude ramp enters through the per-sensor emphasis, so
+# back and wrist channels carry almost all of the class signal while
+# side/arm/thigh channels stay active yet nearly uninformative.
+# Per-channel standardization preserves within-channel class contrast, so
+# this structure survives preprocessing.
+NOISE_SD = 0.25
+BASE_AMPLITUDE = 1.0
+BASE_ACTIVITY = 0.6
+CLASS_RAMP = (0.4, 1.7, 3.6)  # low, medium, high
+BURST_FREQ_LOW_HZ = 3.0
+BURST_FREQ_HIGH_HZ = 9.0
+BURST_SECONDS = 1.6
+BACK_EMPHASIS = 1.2
+WRIST_EMPHASIS = 0.75
+OTHER_EMPHASIS = 0.05
+SUBJECT_GAIN_JITTER = 0.18
+SUBJECT_OFFSET_JITTER_S = 0.4
 
 # Sensor index groups (pairs of accel/gyro per placement).
 BACK_SENSORS = (6, 7)
 WRIST_SENSORS = (2, 3, 4, 5)
 
 
-def _sensor_gains(g: GeneratorParams, class_idx: int) -> np.ndarray:
-    emphasis = np.full(N_SENSORS, g.other_emphasis)
-    emphasis[list(WRIST_SENSORS)] = g.wrist_emphasis
-    emphasis[list(BACK_SENSORS)] = g.back_emphasis
-    return g.base_activity + emphasis * g.class_ramp[class_idx]
+def _sensor_gains(class_idx: int) -> np.ndarray:
+    emphasis = np.full(N_SENSORS, OTHER_EMPHASIS)
+    emphasis[list(WRIST_SENSORS)] = WRIST_EMPHASIS
+    emphasis[list(BACK_SENSORS)] = BACK_EMPHASIS
+    return BASE_ACTIVITY + emphasis * CLASS_RAMP[class_idx]
 
 
 @dataclass
@@ -142,15 +137,13 @@ def _entry_problem(entry: ManifestEntry, seen: set[str]) -> str | None:
     return None
 
 
-def generate_dataset(p: DatasetProfile, g: GeneratorParams | None = None,
-                     ) -> tuple[list[TrialRecording], Manifest]:
+def generate_dataset(p: DatasetProfile) -> tuple[list[TrialRecording], Manifest]:
     """Deterministic synthetic dataset; one RNG stream seeded from the profile."""
-    g = g or GeneratorParams()
     rng = np.random.default_rng(p.seed)
     fs = SAMPLE_RATE_HZ
 
-    subject_gain = 1.0 + rng.uniform(-g.subject_gain_jitter, g.subject_gain_jitter, size=p.n_subjects)
-    subject_offset = rng.uniform(-g.subject_offset_jitter_s, g.subject_offset_jitter_s, size=p.n_subjects)
+    subject_gain = 1.0 + rng.uniform(-SUBJECT_GAIN_JITTER, SUBJECT_GAIN_JITTER, size=p.n_subjects)
+    subject_offset = rng.uniform(-SUBJECT_OFFSET_JITTER_S, SUBJECT_OFFSET_JITTER_S, size=p.n_subjects)
 
     trials: list[TrialRecording] = []
     entries: list[ManifestEntry] = []
@@ -160,8 +153,8 @@ def generate_dataset(p: DatasetProfile, g: GeneratorParams | None = None,
             for idx in range(p.trials_per_zone_per_subject):
                 duration = rng.uniform(p.duration_low_s, p.duration_high_s)
                 n_frames = int(round(duration * fs))
-                channels = rng.normal(0.0, g.noise_sd, size=(N_CHANNELS, n_frames))
-                _add_lift_events(channels, rng, g, class_idx, fs, duration,
+                channels = rng.normal(0.0, NOISE_SD, size=(N_CHANNELS, n_frames))
+                _add_lift_events(channels, rng, class_idx, fs, duration,
                                  subject_gain[subject], subject_offset[subject])
                 trials.append(TrialRecording(channels))
                 entries.append(ManifestEntry(
@@ -170,7 +163,7 @@ def generate_dataset(p: DatasetProfile, g: GeneratorParams | None = None,
     return trials, Manifest(entries=entries)
 
 
-def _add_lift_events(channels: np.ndarray, rng: np.random.Generator, g: GeneratorParams,
+def _add_lift_events(channels: np.ndarray, rng: np.random.Generator,
                      class_idx: int, fs: float, duration: float,
                      subj_gain: float, subj_offset: float) -> None:
     """Two Hann-windowed sinusoid packets per trial.
@@ -179,21 +172,21 @@ def _add_lift_events(channels: np.ndarray, rng: np.random.Generator, g: Generato
     upright; the gap between them widens (weakly) with risk class, and the
     burst positions jitter widely per trial.
     """
-    amp = g.base_amplitude * subj_gain
-    gains = _sensor_gains(g, class_idx)
+    amp = BASE_AMPLITUDE * subj_gain
+    gains = _sensor_gains(class_idx)
     t_first = duration * rng.uniform(0.12, 0.30) + subj_offset * 0.3
     gap = duration * (0.33 + 0.03 * class_idx + rng.uniform(-0.03, 0.03))
     centers = (t_first, t_first + gap)
-    half = g.burst_seconds / 2.0
+    half = BURST_SECONDS / 2.0
     t = np.arange(channels.shape[1]) / fs
     for center in centers:
         center = float(np.clip(center, half, duration - half))
-        window = np.clip((t - (center - half)) / g.burst_seconds, 0.0, 1.0)
+        window = np.clip((t - (center - half)) / BURST_SECONDS, 0.0, 1.0)
         hann = 0.5 - 0.5 * np.cos(2.0 * np.pi * window)
         hann[(t < center - half) | (t > center + half)] = 0.0
         for sensor in range(N_SENSORS):
             for axis in range(N_AXES):
-                freq = rng.uniform(g.burst_freq_low_hz, g.burst_freq_high_hz)
+                freq = rng.uniform(BURST_FREQ_LOW_HZ, BURST_FREQ_HIGH_HZ)
                 phase = rng.uniform(0.0, 2.0 * np.pi)
                 axis_gain = rng.uniform(0.6, 1.0)
                 channels[3 * sensor + axis] += (

@@ -36,7 +36,10 @@ class TrainHistory:
     losses: list[float] = field(default_factory=list)       # per epoch, 1-indexed
     accuracies: list[float] = field(default_factory=list)
     best_epoch: int = 0     # the epoch whose parameters training restores
-    stopped_epoch: int = 0
+
+    @property
+    def stopped_epoch(self) -> int:
+        return len(self.losses)
 
 
 def loss(probs: np.ndarray, onehot: np.ndarray, model: Model | None, l2_lambda: float) -> float:
@@ -205,10 +208,7 @@ def train(model: Model, images: np.ndarray, labels: np.ndarray,
         if stopper.best_epoch == epoch:
             best_snapshot = model.snapshot()
         if should_stop:
-            history.stopped_epoch = epoch
             break
-    else:
-        history.stopped_epoch = config.max_epochs
 
     model.restore(best_snapshot)
     history.best_epoch = stopper.best_epoch

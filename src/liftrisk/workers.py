@@ -42,6 +42,7 @@ def map_in_workers(fn, n_items: int, task_size: int) -> list:
     errors: dict[int, BaseException] = {}
     context = multiprocessing.get_context("fork")
     workers = []
+    pipes = []
     try:
         with warnings.catch_warnings():
             # Python 3.12+ warns that fork() in a process with other threads
@@ -52,7 +53,10 @@ def map_in_workers(fn, n_items: int, task_size: int) -> list:
                                     DeprecationWarning)
             for _ in range(min(len(os.sched_getaffinity(0)), len(tasks))):
                 ours, theirs = context.Pipe()
-                process = context.Process(target=_serve, args=(fn, theirs), daemon=True)
+                pipes += (ours, theirs)
+                # the worker closes its copy of `ours` first, so it sees end of
+                # file once ours is closed here, even if start() raises after fork
+                process = context.Process(target=_serve, args=(fn, theirs, ours), daemon=True)
                 process.start()
                 workers.append((process, ours))
                 theirs.close()  # so a worker that dies is seen as end of file
@@ -82,16 +86,18 @@ def map_in_workers(fn, n_items: int, task_size: int) -> list:
             raise errors[min(errors)]
         return [item for chunk in results for item in chunk]
     finally:
-        for process, conn in workers:
+        for process, _ in workers:
             process.terminate()  # idle in recv unless the call was interrupted
+        for conn in pipes:
             conn.close()
         for process, _ in workers:
             process.join()
 
 
-def _serve(fn, conn) -> None:
+def _serve(fn, conn, callers_end) -> None:
     """Run each task (start, stop) received on `conn` and send back
     (True, results) or (False, the exception of its first failing item)."""
+    callers_end.close()
     # an interrupt is the caller's to handle; terminate() ends the worker
     # through SystemExit, so a file write in progress removes its temporary
     signal.signal(signal.SIGINT, signal.SIG_IGN)

@@ -348,8 +348,36 @@ def _one_split(split):
     return spoil
 
 
+def _one_train_trial(trained, dataset, config, tmp_path):
+    """A dataset of the manifest alone, its first trial in the train split and
+    every other in the test split: no trial file exists, so a command that
+    reads one fails on it instead."""
+    copy = tmp_path / "one_train"
+    copy.mkdir()
+    manifest = synthdata.load_manifest(dataset)
+    for i, entry in enumerate(manifest.entries):
+        entry.split = "test" if i else "train"
+    synthdata.write_manifest(copy / "manifest.csv", manifest)
+    return {"--data": copy}
+
+
+def _out_below_file(*parts, data=True):
+    """`--out` at `parts` below a regular file, or the file itself; with `data`,
+    over a dataset that does not exist: exit 2 rather than 3 shows that the
+    path is checked before any trial file is read."""
+    def spoil(trained, dataset, config, tmp_path):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("a file, not a directory\n")
+        args = {"--out": blocker.joinpath(*parts)}
+        if data:
+            args["--data"] = tmp_path / "unread"
+        return args
+    return spoil
+
+
 class TestBadInputs:
-    """Bad checkpoints, config values and trial files, one row each: the
+    """Bad checkpoints, config values, trial files and output paths, one row
+    each: the
     command, how its input is spoiled, the exit code and what the message
     must name."""
 
@@ -411,6 +439,17 @@ class TestBadInputs:
          cli.EXIT_DATA, ["cannot read", "manifest.csv", "utf-8"]),
         ("train", _non_utf8("--config", "bad.txt"), cli.EXIT_CONFIG, ["bad.txt", "utf-8"]),
         ("tune", _non_utf8("--grid", "bad_grid.txt"), cli.EXIT_CONFIG, ["bad_grid.txt", "utf-8"]),
+        ("train", _config(batch_size=1), cli.EXIT_CONFIG,
+         ["bad.txt", "batch_size = 1", "model_preset = vgg_b_avg"]),
+        ("train", _one_train_trial, cli.EXIT_DATA, ["one_train", "one train-split trial"]),
+        ("tune", _one_train_trial, cli.EXIT_DATA, ["one_train", "one train-split trial"]),
+        ("synth", _out_below_file(data=False), cli.EXIT_CONFIG, ["blocker", "is not a directory"]),
+        ("train", _out_below_file("m.ckpt"), cli.EXIT_CONFIG, ["blocker/m.ckpt"]),
+        ("train", lambda *a: {"--out": a[3], "--data": a[3] / "unread"}, cli.EXIT_CONFIG,
+         ["is a directory"]),
+        ("tune", _out_below_file("t.csv"), cli.EXIT_CONFIG, ["blocker/t.csv"]),
+        ("eval", _out_below_file("e.csv"), cli.EXIT_CONFIG, ["blocker/e.csv"]),
+        ("saliency", _out_below_file(), cli.EXIT_CONFIG, ["blocker", "is not a directory"]),
     ], ids=["missing-checkpoint", "unknown-layer", "misspelt-layer-key", "no-scaler",
             "scaler-35x2", "filter-order", "band-edges", "target-frames", "image-width",
             "pools", "cut-trial", "bare-version", "config-count", "dtype", "non-utf8-header",
@@ -420,7 +459,10 @@ class TestBadInputs:
             "dense-units", "conv-filters", "l2-inf", "min-delta-nan", "seed",
             "train-all-train", "train-all-test", "tune-all-train", "tune-all-test",
             "trial-is-directory", "non-utf8-trial", "non-utf8-manifest", "non-utf8-config",
-            "non-utf8-grid"])
+            "non-utf8-grid", "batch-size-1-batchnorm", "train-one-train-trial",
+            "tune-one-train-trial", "synth-out-is-file", "train-out-below-file",
+            "train-out-is-directory", "tune-out-below-file", "eval-out-below-file",
+            "saliency-out-is-file"])
     def test_exit_code_names_the_input(self, trained, tiny_dataset_dir, tiny_config,
                                        tiny_config_file, tmp_path, capsys,
                                        command, spoil, code, named):
@@ -431,6 +473,9 @@ class TestBadInputs:
                           "--out": tmp_path / "out" / "m.ckpt"},
                 "tune": {"--data": tiny_dataset_dir, "--grid": grid,
                          "--config": tiny_config_file, "--out": tmp_path / "out" / "t.csv"},
+                "synth": {"--out": tmp_path / "data", "--profile": "desk"},
+                "saliency": {"--model": trained, "--data": tiny_dataset_dir, "--class": "high",
+                             "--out": tmp_path / "maps"},
                 }[command]
         args.update(spoil(trained, tiny_dataset_dir, tiny_config, tmp_path))
         argv = [command] + [str(v) for pair in args.items() for v in pair]

@@ -1,5 +1,7 @@
 """Grid-search determinism, ranking, and failure isolation."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -19,15 +21,21 @@ BASE = PipelineConfig(model_preset="mlp", dense_units=8, batch_size=8, max_epoch
                       patience=4, seed=11)
 
 
+def make_cell(l2_lambda, learning_rate, dropout_rate, repeat, seed, **scores):
+    config = replace(BASE, l2_lambda=l2_lambda, learning_rate=learning_rate,
+                     dropout_rate=dropout_rate, seed=seed)
+    return TuneCell(config, repeat, **scores)
+
+
 class TestGridSpec:
     def test_cells_in_grid_order(self):
         grid = GridSpec(lambdas=(1e-3, 1e-5), alphas=(1e-2,), dropouts=(0.0, 0.25),
                         base=BASE)
         cells = grid.cells()
         assert len(cells) == 4
-        combos = [(c.l2_lambda, c.dropout_rate) for c in cells]
+        combos = [(c.config.l2_lambda, c.config.dropout_rate) for c in cells]
         assert combos == [(1e-3, 0.0), (1e-3, 0.25), (1e-5, 0.0), (1e-5, 0.25)]
-        seeds = [c.seed for c in cells]
+        seeds = [c.config.seed for c in cells]
         assert len(set(seeds)) == 4
 
     def test_rejects_empty_axis(self):
@@ -53,7 +61,7 @@ class TestGridSearch:
         cell = results[0]
         assert not cell.failed
 
-        standalone = grid.config(grid.cells()[0])
+        standalone = grid.cells()[0].config
         model = pipeline.build_model(standalone, tr_im.shape[1:])
         history = trainer.train(model, tr_im, tr_lb, standalone)
         assert history.losses == cell.history.losses
@@ -71,8 +79,8 @@ class TestGridSearch:
         r1 = grid_search(grid, *args)
         r2 = grid_search(grid, *args)
         for a, b in zip(r1, r2):
-            assert (a.rk, a.accuracy, a.final_loss, a.epochs_run, a.seed) == \
-                   (b.rk, b.accuracy, b.final_loss, b.epochs_run, b.seed)
+            assert (a.rk, a.accuracy, a.final_loss, a.epochs_run, a.config.seed) == \
+                   (b.rk, b.accuracy, b.final_loss, b.epochs_run, b.config.seed)
 
     def test_failed_cell_recorded_not_fatal(self, monkeypatch):
         rng = np.random.default_rng(2)
@@ -94,13 +102,13 @@ class TestGridSearch:
 
     def test_ranking_by_rk_then_loss(self):
         cells = [
-            TuneCell(1e-5, 1e-3, 0.0, 0, 1, rk=0.5, final_loss=0.2),
-            TuneCell(1e-5, 1e-3, 0.25, 0, 2, rk=0.9, final_loss=0.4),
-            TuneCell(1e-5, 1e-3, 0.5, 0, 3, rk=0.9, final_loss=0.3),
-            TuneCell(1e-5, 1e-2, 0.0, 0, 4, failed=True),
+            make_cell(1e-5, 1e-3, 0.0, 0, 1, rk=0.5, final_loss=0.2),
+            make_cell(1e-5, 1e-3, 0.25, 0, 2, rk=0.9, final_loss=0.4),
+            make_cell(1e-5, 1e-3, 0.5, 0, 3, rk=0.9, final_loss=0.3),
+            make_cell(1e-5, 1e-2, 0.0, 0, 4, failed=True),
         ]
         order = ranked(cells)
-        assert [c.seed for c in order] == [3, 2, 1]
+        assert [c.config.seed for c in order] == [3, 2, 1]
 
     def test_rk_values_in_range(self):
         rng = np.random.default_rng(3)
@@ -115,11 +123,11 @@ class TestGridSearch:
 class TestResultsCsv:
     def test_layout_and_rank_column(self, tmp_path):
         cells = [
-            TuneCell(1e-5, 1e-3, 0.0, 0, 1, rk=0.2, accuracy=0.5, final_loss=0.9,
-                     epochs_run=3),
-            TuneCell(1e-3, 1e-3, 0.0, 0, 2, rk=0.8, accuracy=0.9, final_loss=0.1,
-                     epochs_run=4),
-            TuneCell(1e-1, 1e-3, 0.0, 0, 3, failed=True),
+            make_cell(1e-5, 1e-3, 0.0, 0, 1, rk=0.2, accuracy=0.5, final_loss=0.9,
+                      epochs_run=3),
+            make_cell(1e-3, 1e-3, 0.0, 0, 2, rk=0.8, accuracy=0.9, final_loss=0.1,
+                      epochs_run=4),
+            make_cell(1e-1, 1e-3, 0.0, 0, 3, failed=True),
         ]
         path = tmp_path / "tune.csv"
         write_results_csv(path, cells, comments=["base seed = 11"])

@@ -66,14 +66,6 @@ class TestPrecisionRecallF:
                 for fn in (precision, recall, f_measure):
                     assert 0.0 <= float(fn(c, k)) <= 1.0
 
-    def test_tally_partitions_total(self):
-        rng = np.random.default_rng(6)
-        for _ in range(50):
-            c = ConfusionMatrix(rng.integers(0, 20, size=(4, 4)))
-            for k in range(4):
-                t = metrics.class_tally(c, k)
-                assert t.tp + t.fp + t.fn + t.tn == c.total
-
 
 class TestAccuracy:
     def test_perfect(self):

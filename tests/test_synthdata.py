@@ -5,6 +5,7 @@ import csv
 import io
 import multiprocessing
 import os
+import signal
 import threading
 import time
 import warnings
@@ -429,6 +430,32 @@ class TestWorkers:
         save_dataset(tmp_path, trials, manifest)
         loaded, _ = load_dataset(tmp_path)
         assert len(loaded) == len(trials)
+
+    def test_start_that_raises_after_fork_leaves_no_worker(self, monkeypatch):
+        # the forked child must not wait for tasks from a call that has failed
+        fork = os.fork
+        children = []
+
+        def fork_then_raise():
+            pid = fork()
+            if pid:
+                children.append(pid)
+                raise OSError("start failed after fork")
+            return pid
+
+        monkeypatch.setattr(os, "fork", fork_then_raise)
+        with pytest.raises(OSError, match="after fork"):
+            workers.map_in_workers(lambda i: i, 4, 1)
+        (pid,) = children
+        deadline = time.monotonic() + 10
+        try:
+            while os.waitpid(pid, os.WNOHANG) == (0, 0):
+                assert time.monotonic() < deadline, "the forked worker still runs"
+                time.sleep(0.01)
+        except AssertionError:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            raise
 
     def test_results_in_item_order_and_first_error_wins(self):
         def slow_squares(i):

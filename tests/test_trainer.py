@@ -180,7 +180,7 @@ class TestTrainLoop:
         model = tiny_mlp(seed=1)
         x = rng.normal(size=(1, 12))
         cfg = PipelineConfig(batch_size=1, max_epochs=5, patience=10, seed=1,
-                             learning_rate=1e-2)
+                             learning_rate=1e-2, model_preset="mlp")
         history = train(model, x, np.array([2]), cfg)
         assert len(history.losses) == 5
         diffs = np.diff(history.losses)
@@ -337,8 +337,7 @@ class TestPredict:
 
 class TestHistoryCsv:
     def test_roundtrip_layout(self, tmp_path):
-        h = trainer.TrainHistory(losses=[1.0, 0.5], accuracies=[0.4, 0.9],
-                                 best_epoch=2, stopped_epoch=2)
+        h = trainer.TrainHistory(losses=[1.0, 0.5], accuracies=[0.4, 0.9], best_epoch=2)
         path = tmp_path / "history.csv"
         trainer.write_history_csv(path, h, comments=["seed = 3"])
         lines = path.read_text().splitlines()

@@ -53,10 +53,21 @@ class TuneCell:
     repeat: int
     rk: float = float("nan")
     accuracy: float = float("nan")
-    final_loss: float = float("nan")
-    epochs_run: int = 0
-    failed: bool = False
-    history: trainer.TrainHistory | None = None
+    history: trainer.TrainHistory | None = None   # None while unscored or when training diverged
+
+    @property
+    def failed(self) -> bool:
+        return self.history is None
+
+    @property
+    def final_loss(self) -> float:
+        """The monitored loss of the epoch whose parameters training restored."""
+        h = self.history
+        return float("nan") if h is None else h.losses[h.best_epoch - 1]
+
+    @property
+    def epochs_run(self) -> int:
+        return 0 if self.history is None else self.history.stopped_epoch
 
 
 def grid_search(grid: GridSpec, images: np.ndarray, labels: np.ndarray,
@@ -68,14 +79,11 @@ def grid_search(grid: GridSpec, images: np.ndarray, labels: np.ndarray,
         try:
             model, history = pipeline.fit(cell.config, images, labels, train_rows)
         except TrainingDivergedError:
-            cell.failed = True
             results.append(cell)
             continue
         cm = pipeline.score(model, images, labels, test_rows)
         cell.rk = metrics.rk(cm)
         cell.accuracy = metrics.accuracy(cm)
-        cell.final_loss = history.losses[history.best_epoch - 1]
-        cell.epochs_run = history.stopped_epoch
         cell.history = history
         results.append(cell)
     return results

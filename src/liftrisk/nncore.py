@@ -23,27 +23,60 @@ from .fileio import write_file
 
 BN_MOMENTUM = 0.9
 BN_EPSILON = 1e-5
+# bytes of patch rows that one conv GEMM multiplies at a time: a larger
+# batch's forward and input gradient run over balanced blocks of whole images
+PATCH_BLOCK_BYTES = 4 << 20
 
 
 # ---------------------------------------------------------------------------
 # Batched kernels
 
 
-def _im2col(x: np.ndarray) -> np.ndarray:
-    """[N,H,W,C] -> [N*H*W, 9*C] patches of the zero-padded input."""
+def _im2col(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """[N,H,W,C] -> [N*H*W, 9*C] patches of the zero-padded input, written
+    into `out` (C-contiguous, that shape) when given."""
     n, h, w, c = x.shape
     xp = np.pad(x, ((0, 0), (1, 1), (1, 1), (0, 0)))
     s = xp.strides
     cols = as_strided(xp, shape=(n, h, w, 3, 3, c),
                       strides=(s[0], s[1], s[2], s[1], s[2], s[3]))
-    return np.ascontiguousarray(cols).reshape(n * h * w, 9 * c)
+    if out is None:
+        return np.ascontiguousarray(cols).reshape(n * h * w, 9 * c)
+    np.copyto(out.reshape(cols.shape), cols)
+    return out
+
+
+def _patch_gemm(x: np.ndarray, w2d: np.ndarray) -> np.ndarray:
+    """_im2col(x) @ w2d, [N*H*W, cols of w2d], multiplied one block of whole
+    images at a time.
+
+    A block's patches take at most PATCH_BLOCK_BYTES, or one image's when
+    that is more, and are built into one buffer that every block reuses, so
+    no call holds the whole patch matrix.  The blocks are balanced: OpenBLAS
+    rounds a GEMM with few rows differently from the same rows of a large
+    one, and a small last block would change the bits of its rows.  When
+    split, each block holds at least about half of PATCH_BLOCK_BYTES."""
+    n, h, wd, c = x.shape
+    rows = h * wd
+    per_block = max(1, PATCH_BLOCK_BYTES // (rows * 9 * c * x.itemsize))
+    blocks = -(-n // per_block)
+    if blocks <= 1:
+        return _im2col(x) @ w2d
+    out = np.empty((n * rows, w2d.shape[1]), dtype=np.result_type(x, w2d))
+    buf = np.empty((-(-n // blocks) * rows, 9 * c), dtype=x.dtype)
+    bounds = [n * k // blocks for k in range(blocks + 1)]
+    for start, stop in zip(bounds, bounds[1:]):
+        patches = _im2col(x[start:stop], buf[: (stop - start) * rows])
+        np.matmul(patches, w2d, out=out[start * rows: stop * rows])
+    return out
 
 
 def conv2d_batch(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Same-padding stride-1 cross-correlation plus bias (no activation)."""
     n, h, wd, _ = x.shape
     cout = w.shape[3]
-    out = _im2col(x) @ w.reshape(-1, cout) + b
+    out = _patch_gemm(x, w.reshape(-1, cout))
+    out += b
     return out.reshape(n, h, wd, cout)
 
 
@@ -146,19 +179,22 @@ class Conv2D(Layer):
         # rebuilds the same patches
         z = conv2d_batch(x, self.w, self.b)
         mask = z > 0
-        return z * mask, (x, mask)
+        z *= mask
+        return z, (x, mask)
 
     def backward(self, dout, cache, need_dx=True, need_grads=True):
         x, mask = cache
         dz = dout * mask
         grads = dx = None
         if need_grads:
+            # one GEMM over the whole batch: its sum runs over every image, and
+            # a sum split by blocks would round differently
             dz_flat = dz.reshape(-1, self.filters)
             grads = [(_im2col(x).T @ dz_flat).reshape(self.w.shape), dz_flat.sum(axis=0)]
         if need_dx:
             # same-padding correlation of dz with the flipped, transposed kernel
             wf = self.w[::-1, ::-1].transpose(0, 1, 3, 2)
-            dx = (_im2col(dz) @ wf.reshape(-1, wf.shape[3])).reshape(x.shape)
+            dx = _patch_gemm(dz, wf.reshape(-1, wf.shape[3])).reshape(x.shape)
         return dx, grads
 
     def spec_line(self):

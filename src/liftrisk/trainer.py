@@ -20,8 +20,10 @@ from .nncore import Model
 
 LOG_CLAMP = 1e-12
 # images per inference pass, the default training batch size.  A pass's
-# transient memory grows with it; passes split at whole images, so it sets
-# only the row count of each forward GEMM
+# transient memory grows with it, through each layer's output: a conv layer
+# multiplies its patches a block of images at a time, never the whole
+# pass's patch matrix.  Passes split at whole images, so it sets only the
+# row count of each forward GEMM
 EVAL_BATCH = 32
 # elements per Adam block: a block's parameter, gradient, moments and scratch
 # stay in cache through all of the update's passes

@@ -33,7 +33,8 @@ def map_in_workers(fn, n_items: int, task_size: int) -> list:
     Results are received and unpickled in the calling thread, so their memory
     is allocated as if this thread had computed them.  When an item raises,
     no further task starts; once the tasks in flight end, the exception of the
-    first failing item in item order is raised, or WorkerLostError for a task
+    first failing item in item order is raised, with its chain of __cause__
+    as the item raised it, or WorkerLostError for a task
     whose worker ended without replying.  No worker outlives the call,
     whether it returns, raises or is interrupted.
     """
@@ -76,11 +77,11 @@ def map_in_workers(fn, n_items: int, task_size: int) -> list:
                 try:
                     ok, value = conn.recv()
                 except EOFError:
-                    ok, value = False, WorkerLostError(range(*tasks[task]))
+                    ok, value = False, [WorkerLostError(range(*tasks[task]))]
                 if ok:
                     results[task] = value
                 else:
-                    errors[task] = value
+                    errors[task] = _relinked(value)
                 idle.append(conn)
         if errors:
             raise errors[min(errors)]
@@ -96,7 +97,8 @@ def map_in_workers(fn, n_items: int, task_size: int) -> list:
 
 def _serve(fn, conn, callers_end) -> None:
     """Run each task (start, stop) received on `conn` and send back
-    (True, results) or (False, the exception of its first failing item)."""
+    (True, results) or (False, the `_cause_chain` of its first failing item's
+    exception)."""
     callers_end.close()
     # an interrupt is the caller's to handle; terminate() ends the worker
     # through SystemExit, so a file write in progress removes its temporary
@@ -110,8 +112,24 @@ def _serve(fn, conn, callers_end) -> None:
         try:
             reply = (True, [fn(i) for i in range(start, stop)])
         except Exception as exc:
-            reply = (False, exc)
+            reply = (False, _cause_chain(exc))
         conn.send(reply)
+
+
+def _cause_chain(exc: BaseException) -> list[BaseException]:
+    """[exc, its __cause__, that one's __cause__, ...]: pickling an
+    exception drops its __cause__, so the chain is sent as a list."""
+    chain = [exc]
+    while (cause := chain[-1].__cause__) is not None and all(cause is not e for e in chain):
+        chain.append(cause)
+    return chain
+
+
+def _relinked(chain: list[BaseException]) -> BaseException:
+    """The first exception of a received `_cause_chain`, each one's __cause__ set again."""
+    for exc, cause in zip(chain, chain[1:]):
+        exc.__cause__ = cause
+    return chain[0]
 
 
 def _exit_on_terminate(signum, frame) -> None:

@@ -20,12 +20,25 @@ def run(args):
     return cli.main(args)
 
 
+@pytest.fixture(scope="module")
+def trained_run(tiny_dataset_dir, tiny_config, tmp_path_factory):
+    """The directory holding model.ckpt and the three CSVs of one tiny
+    `train`, run once for the module."""
+    root = tmp_path_factory.mktemp("trained")
+    config = root / "config.txt"
+    config.write_text("\n".join(tiny_config.to_lines()) + "\n")
+    assert run(["train", "--data", str(tiny_dataset_dir), "--config", str(config),
+                "--out", str(root / "run" / "model.ckpt")]) == 0
+    return root / "run"
+
+
 @pytest.fixture()
-def trained(tiny_dataset_dir, tiny_config_file, tmp_path):
-    ckpt = tmp_path / "model.ckpt"
-    assert run(["train", "--data", str(tiny_dataset_dir), "--config",
-                str(tiny_config_file), "--out", str(ckpt)]) == 0
-    return ckpt
+def trained(trained_run, tmp_path):
+    """A copy of that run's files in the test's tmp_path, so a test that
+    spoils one spoils it for no other test."""
+    for path in trained_run.iterdir():
+        shutil.copy(path, tmp_path / path.name)
+    return tmp_path / "model.ckpt"
 
 
 class TestSynth:
@@ -490,14 +503,9 @@ class TestBadInputs:
 
 
 @pytest.fixture(scope="module")
-def saved_checkpoint(tiny_dataset_dir, tiny_config, tmp_path_factory):
+def saved_checkpoint(trained_run, tmp_path_factory):
     """The bytes of a checkpoint `train` wrote, and a directory to spoil it in."""
-    out = tmp_path_factory.mktemp("spoiled")
-    config = out / "config.txt"
-    config.write_text("\n".join(tiny_config.to_lines()) + "\n")
-    assert run(["train", "--data", str(tiny_dataset_dir), "--config", str(config),
-                "--out", str(out / "model.ckpt")]) == 0
-    return (out / "model.ckpt").read_bytes(), out
+    return (trained_run / "model.ckpt").read_bytes(), tmp_path_factory.mktemp("spoiled")
 
 
 class TestCorruptCheckpoint:

@@ -21,10 +21,15 @@ BASE = PipelineConfig(model_preset="mlp", dense_units=8, batch_size=8, max_epoch
                       patience=4, seed=11)
 
 
-def make_cell(l2_lambda, learning_rate, dropout_rate, repeat, seed, **scores):
+def make_cell(l2_lambda, learning_rate, dropout_rate, repeat, seed, final_loss=float("nan"),
+              epochs_run=1, failed=False, **scores):
+    """A cell whose training ran `epochs_run` epochs and restored the last,
+    of monitored loss `final_loss`; a failed cell has no history."""
     config = replace(BASE, l2_lambda=l2_lambda, learning_rate=learning_rate,
                      dropout_rate=dropout_rate, seed=seed)
-    return TuneCell(config, repeat, **scores)
+    history = None if failed else trainer.TrainHistory(losses=[final_loss] * epochs_run,
+                                                       best_epoch=epochs_run)
+    return TuneCell(config, repeat, history=history, **scores)
 
 
 class TestGridSpec:
@@ -37,6 +42,10 @@ class TestGridSpec:
         assert combos == [(1e-3, 0.0), (1e-3, 0.25), (1e-5, 0.0), (1e-5, 0.25)]
         seeds = [c.config.seed for c in cells]
         assert len(set(seeds)) == 4
+
+    def test_unscored_cell_reads_as_failed(self):
+        cell = TuneCell(BASE, 0)
+        assert cell.failed and cell.epochs_run == 0 and np.isnan(cell.final_loss)
 
     def test_rejects_empty_axis(self):
         with pytest.raises(ValueError):

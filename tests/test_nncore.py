@@ -511,6 +511,93 @@ class TestConvRebuiltPatches:
             assert got.dtype == ref.dtype and np.array_equal(got, ref)
 
 
+# (H, W, Cin, Cout) of the five convolutions of vgg_b_* at the desk image
+# shape (55x55x3, filters 8/16/32) and of conv layers 0 and 4 at the paper
+# shape (95x95x3, filters 32/64/128)
+DESK_CONVS = [(55, 55, 3, 8), (27, 27, 8, 16), (27, 27, 16, 16), (13, 13, 16, 32),
+              (13, 13, 32, 32)]
+PAPER_CONVS = [(95, 95, 3, 32), (47, 47, 64, 64)]
+
+
+def same_bytes(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestPatchBlocks:
+    """The conv forward and input gradient, multiplied one balanced block of
+    whole images at a time, are bit for bit the whole-batch GEMM of the whole
+    patch matrix, and an inference forward never holds that matrix."""
+
+    @staticmethod
+    def check_whole_batch_bytes(h, w, cin, cout, n, dtype):
+        from liftrisk.nncore import _im2col
+
+        rng = np.random.default_rng(n)
+        layer = Conv2D(cout)
+        layer.build((h, w, cin), rng, dtype)
+        layer.b += rng.normal(scale=0.1, size=cout).astype(dtype)
+        x = rng.normal(size=(n, h, w, cin)).astype(dtype)
+        want = (_im2col(x) @ layer.w.reshape(-1, cout) + layer.b).reshape(n, h, w, cout)
+        assert same_bytes(conv2d_batch(x, layer.w, layer.b), want)
+        del want
+        dz = rng.normal(size=(n, h, w, cout)).astype(dtype)
+        dx, _ = layer.backward(dz, (x, np.ones(dz.shape, dtype=bool)), True, False)
+        wf = layer.w[::-1, ::-1].transpose(0, 1, 3, 2)
+        assert same_bytes(dx, (_im2col(dz) @ wf.reshape(-1, cin)).reshape(x.shape))
+
+    @pytest.mark.parametrize("dims", DESK_CONVS)
+    def test_desk_shapes_match_whole_batch_gemm(self, dims):
+        # n = 28 is the last batch of every desk epoch (540 = 16 * 32 + 28):
+        # a plain 9, 9, 9, 1 split of its 27x27x16 -> 8 input gradient
+        # changes the bits of the last image
+        for n in range(1, 34):
+            self.check_whole_batch_bytes(*dims, n, np.float32)
+
+    @pytest.mark.parametrize("n", [1, 2, 16, 17, 32])
+    @pytest.mark.parametrize("dims", PAPER_CONVS)
+    def test_paper_shapes_match_whole_batch_gemm(self, dims, n):
+        self.check_whole_batch_bytes(*dims, n, np.float64)
+
+    def test_blocks_are_balanced_and_bounded(self, monkeypatch):
+        from liftrisk import nncore
+
+        shapes = []
+
+        def recording_im2col(x, out=None):
+            shapes.append(x.shape[0])
+            return im2col(x, out)
+
+        im2col = nncore._im2col
+        monkeypatch.setattr(nncore, "_im2col", recording_im2col)
+        h, w, cin, cout = DESK_CONVS[2]
+        image_bytes = h * w * 9 * cin * 4
+        x = np.zeros((28, h, w, cin), dtype=np.float32)
+        nncore._patch_gemm(x, np.zeros((9 * cin, cout), dtype=np.float32))
+        assert shapes == [7, 7, 7, 7]
+        assert all(2 * k * image_bytes >= nncore.PATCH_BLOCK_BYTES >= k * image_bytes
+                   for k in shapes)
+
+    def test_inference_forward_holds_output_and_one_block(self):
+        import tracemalloc
+
+        from liftrisk.nncore import PATCH_BLOCK_BYTES
+
+        h, w, cin, cout = PAPER_CONVS[1]
+        layer = Conv2D(cout)
+        layer.build((h, w, cin), np.random.default_rng(0), np.float64)
+        x = np.random.default_rng(1).normal(size=(32, h, w, cin))
+        block = max(PATCH_BLOCK_BYTES, h * w * 9 * cin * 8)
+        tracemalloc.start()
+        try:
+            y, (_, mask) = layer.forward(x, False, None)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # beside its patches, a block pads its images: about a ninth as many bytes
+        assert peak <= y.nbytes + mask.nbytes + 1.25 * block
+        assert 32 * h * w * 9 * cin * 8 > 5 * peak  # the whole patch matrix
+
+
 class TestBackwardFlags:
     """Skipping unread gradients leaves every gradient that is read bit-identical."""
 
@@ -612,9 +699,10 @@ class TestInferenceCaches:
         model = self.toy_model()
         patches, alive = [], []
 
-        def recording_im2col(x):
-            cols = im2col(x)
-            patches.append(weakref.ref(cols))
+        def recording_im2col(x, out=None):
+            cols = im2col(x, out)
+            # a block's patches are a view of the call's block buffer
+            patches.append(weakref.ref(cols if out is None else out.base))
             return cols
 
         def checking_forward(layer):

@@ -477,6 +477,38 @@ class TestWorkers:
             workers.map_in_workers(fails_at_5_late_and_at_9, 40, 4)
         assert multiprocessing.active_children() == []
 
+    def test_worker_exception_keeps_its_cause(self):
+        def chained_at_3(i):
+            if i == 3:
+                try:
+                    float("x")
+                except ValueError as exc:
+                    raise KeyError("item 3") from exc
+            return i
+
+        with pytest.raises(KeyError, match="item 3") as caught:
+            workers.map_in_workers(chained_at_3, 8, 2)
+        cause = caught.value.__cause__
+        assert type(cause) is ValueError and str(cause) == "could not convert string to float: 'x'"
+
+    def test_non_numeric_value_chains_the_serial_readers_cause(self, tmp_path):
+        trials, manifest = generate_dataset(SMALL)
+        save_dataset(tmp_path, trials, manifest)
+        entry = manifest.entries[1]
+        victim = tmp_path / entry.trial_file
+        lines = victim.read_text().splitlines()
+        parts = lines[2].split(",")
+        parts[4] = "not-a-number"
+        lines[2] = ",".join(parts)
+        victim.write_text("\n".join(lines) + "\n")
+        with pytest.raises(MalformedRowError) as serial:
+            synthdata._load_trial(victim, entry)
+        with pytest.raises(MalformedRowError) as caught:
+            load_dataset(tmp_path)
+        assert str(caught.value) == str(serial.value)
+        assert type(caught.value.__cause__) is ValueError
+        assert str(caught.value.__cause__) == str(serial.value.__cause__)
+
 
 def _same_bits(a, b) -> bool:
     return (a.shape == b.shape and a.dtype == b.dtype

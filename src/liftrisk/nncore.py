@@ -32,42 +32,34 @@ PATCH_BLOCK_BYTES = 4 << 20
 # Batched kernels
 
 
-def _im2col(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """[N,H,W,C] -> [N*H*W, 9*C] patches of the zero-padded input, written
-    into `out` (C-contiguous, that shape) when given."""
+def _im2col(x: np.ndarray) -> np.ndarray:
+    """[N,H,W,C] -> [N*H*W, 9*C] patches of the zero-padded input."""
     n, h, w, c = x.shape
     xp = np.pad(x, ((0, 0), (1, 1), (1, 1), (0, 0)))
     s = xp.strides
     cols = as_strided(xp, shape=(n, h, w, 3, 3, c),
                       strides=(s[0], s[1], s[2], s[1], s[2], s[3]))
-    if out is None:
-        return np.ascontiguousarray(cols).reshape(n * h * w, 9 * c)
-    np.copyto(out.reshape(cols.shape), cols)
-    return out
+    return np.ascontiguousarray(cols).reshape(n * h * w, 9 * c)
 
 
 def _patch_gemm(x: np.ndarray, w2d: np.ndarray) -> np.ndarray:
     """_im2col(x) @ w2d, [N*H*W, cols of w2d], multiplied one block of whole
-    images at a time.
+    images at a time, each block straight into its rows of the output.
 
     A block's patches take at most PATCH_BLOCK_BYTES, or one image's when
-    that is more, and are built into one buffer that every block reuses, so
-    no call holds the whole patch matrix.  The blocks are balanced: OpenBLAS
-    rounds a GEMM with few rows differently from the same rows of a large
-    one, and a small last block would change the bits of its rows.  When
-    split, each block holds at least about half of PATCH_BLOCK_BYTES."""
+    that is more, so no call holds the whole patch matrix.  The blocks are
+    balanced: OpenBLAS rounds a GEMM with few rows differently from the same
+    rows of a large one (measured at 1 and 2 threads), and a small last block
+    would change the bits of its rows.  When split, each block holds at least
+    about half of PATCH_BLOCK_BYTES."""
     n, h, wd, c = x.shape
     rows = h * wd
     per_block = max(1, PATCH_BLOCK_BYTES // (rows * 9 * c * x.itemsize))
-    blocks = -(-n // per_block)
-    if blocks <= 1:
-        return _im2col(x) @ w2d
+    blocks = max(1, -(-n // per_block))
     out = np.empty((n * rows, w2d.shape[1]), dtype=np.result_type(x, w2d))
-    buf = np.empty((-(-n // blocks) * rows, 9 * c), dtype=x.dtype)
     bounds = [n * k // blocks for k in range(blocks + 1)]
     for start, stop in zip(bounds, bounds[1:]):
-        patches = _im2col(x[start:stop], buf[: (stop - start) * rows])
-        np.matmul(patches, w2d, out=out[start * rows: stop * rows])
+        np.matmul(_im2col(x[start:stop]), w2d, out=out[start * rows: stop * rows])
     return out
 
 

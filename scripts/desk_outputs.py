@@ -16,7 +16,8 @@ stdout, and each command's wall time to stderr.
 beside this script), so one copy of the script runs any checkout; two runs'
 printouts diff line by line.  With `--check FILE`, a printout saved from
 another checkout, it prints instead each line that differs ("-" for FILE's
-line, "+" for this run's) and exits 1 on any difference.  Hashes depend on
+line, "+" for this run's), ends with a count of the files changed, only in
+this run and only in FILE, and exits 1 on any difference.  Hashes depend on
 the BLAS thread count, so compare printouts made on one machine with the
 same thread setting.  A desk run takes a few minutes.
 """
@@ -81,9 +82,19 @@ def main() -> int:
     differ += [f"+ {line}" for line in lines if line not in theirs]
     for line in differ:
         print(line)
+    our_files, their_files = _by_path(lines), _by_path(saved)
+    both = our_files.keys() & their_files.keys()
+    changed = sum(our_files[path] != their_files[path] for path in both)
     print(f"{len(differ)} lines differ between {args.check} ({len(saved)} lines) and this run "
-          f"({len(lines)} lines)", file=sys.stderr)
+          f"({len(lines)} lines): {changed} files changed, "
+          f"{len(our_files) - len(both)} only in this run, "
+          f"{len(their_files) - len(both)} only in {args.check}", file=sys.stderr)
     return 1 if differ else 0
+
+
+def _by_path(lines) -> dict[str, str]:
+    """Each `sha256  path` line of a printout, keyed by its path."""
+    return {line.partition("  ")[2]: line for line in lines}
 
 
 if __name__ == "__main__":

@@ -7,11 +7,20 @@ sinusoid bursts (one near lift start, one near the return to upright) whose
 amplitude, spacing, and back/wrist sensor emphasis all grow with risk class.
 Burst frequencies stay inside the 2-12 Hz analysis band so bandpass filtering
 keeps the discriminative signal.
+
+On disk a dataset is manifest.csv and one CSV file per trial, the source of
+truth.  Beside each trial file `save_dataset` writes its binary twin,
+`<trial file>.f64`: the sha256 of the CSV bytes, then the trial's values as
+float64.  `load_dataset` takes a trial's values from its twin only while the
+twin holds the digest of the CSV as it is now, the manifest's frame count and
+only finite values; any other trial file, recorded or edited, is parsed, and
+its faults are reported with its file and line.
 """
 
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import math
 from dataclasses import astuple, dataclass, field, replace
@@ -228,20 +237,36 @@ def _map_trials(fn, directory: Path, entries: list[ManifestEntry], doing: str) -
                         path=str(first)) from exc
 
 
+# A trial file's binary twin, `<trial file>.f64`: the sha256 of the trial
+# file's bytes, then its [frames, 36] values as little-endian float64 in C order.
+TWIN_SUFFIX = ".f64"
+TWIN_DTYPE = np.dtype("<f8")
+DIGEST_BYTES = hashlib.sha256().digest_size
+
+
+def _twin_path(path: Path) -> Path:
+    return path.with_name(path.name + TWIN_SUFFIX)
+
+
 def save_dataset(directory, trials: list[TrialRecording], manifest: Manifest) -> None:
     """The manifest, then every trial file, each written by worker processes
-    (`workers.map_in_workers`) with the bytes csv.writer would write."""
+    (`workers.map_in_workers`) with the bytes csv.writer would write, and
+    straight after it the trial file's binary twin."""
     directory = Path(directory)
     if len(trials) != len(manifest.entries):
         raise ValueError("trial list and manifest lengths differ")
     write_manifest(directory / "manifest.csv", manifest)
 
     def write_trial(i: int) -> None:
-        frames = np.asarray(trials[i].channels, dtype=np.float64).T.tolist()
+        frames = np.asarray(trials[i].channels, dtype=np.float64).T
         # the bytes csv.writer writes: repr of each value, "\r\n" line ends
-        rows = (f"{frame}," + ",".join(map(repr, values)) for frame, values in enumerate(frames))
-        write_file(directory / manifest.entries[i].trial_file,
-                   lines_text([",".join(TRIAL_HEADER), *rows], end="\r\n"))
+        rows = (f"{frame}," + ",".join(map(repr, values))
+                for frame, values in enumerate(frames.tolist()))
+        data = lines_text([",".join(TRIAL_HEADER), *rows], end="\r\n").encode()
+        path = directory / manifest.entries[i].trial_file
+        write_file(path, data)
+        write_file(_twin_path(path),
+                   hashlib.sha256(data).digest() + frames.astype(TWIN_DTYPE).tobytes())
 
     _map_trials(write_trial, directory, manifest.entries, "writing")
 
@@ -267,7 +292,8 @@ def load_manifest(directory) -> Manifest:
         raise DataError(f"manifest not found: {manifest_path}", path=str(manifest_path))
     entries: list[ManifestEntry] = []
     seen: set[str] = set()
-    rows = _csv_rows(io.StringIO(_read_text(manifest_path), newline=""))
+    text = _text(manifest_path, _read_bytes(manifest_path))
+    rows = _csv_rows(io.StringIO(text, newline=""))
     first = next(rows, None)
     if first is None or first[1] != MANIFEST_HEADER:
         raise DataError(f"bad manifest header in {manifest_path}",
@@ -294,22 +320,31 @@ def load_manifest(directory) -> Manifest:
     return Manifest(entries=entries)
 
 
-def _read_text(path: Path) -> str:
-    """The UTF-8 text of the data file at `path`, line ends kept; a file that
-    cannot be read or is not UTF-8 is a DataError naming it."""
+def _read_bytes(path: Path) -> bytes:
+    """The bytes of the data file at `path`; a file that cannot be read is a
+    DataError naming it."""
     try:
-        with open(path, encoding="utf-8", newline="") as fh:
-            return fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
+        return path.read_bytes()
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}", path=str(path)) from exc
+
+
+def _text(path: Path, data: bytes) -> str:
+    """`data`, the bytes of the data file at `path`, as UTF-8 text with its
+    line ends kept; bytes that are not UTF-8 are a DataError naming the file."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
         raise DataError(f"cannot read {path}: {exc}", path=str(path)) from exc
 
 
 def load_dataset(directory, manifest: Manifest | None = None,
                  ) -> tuple[list[TrialRecording], Manifest]:
     """The trials of `manifest`, by default of the directory's whole
-    manifest.csv, read from their files under `directory` by worker
-    processes (`workers.map_in_workers`), in manifest order.  A fault raises
-    the error of the first bad trial file in manifest order."""
+    manifest.csv, read from their files under `directory` (or their binary
+    twins, while those match) by worker processes
+    (`workers.map_in_workers`), in manifest order.  A fault raises the error
+    of the first bad trial file in manifest order."""
     directory = Path(directory)
     if manifest is None:
         manifest = load_manifest(directory)
@@ -322,14 +357,33 @@ def load_dataset(directory, manifest: Manifest | None = None,
 def _load_trial(path: Path, entry: ManifestEntry) -> TrialRecording:
     if not path.exists():
         raise MissingTrialFileError(f"trial file missing: {path}", path=str(path))
-    text = _read_text(path)
-    values = _parse_plain_trial(text)
+    data = _read_bytes(path)
+    values = _twin_values(path, data, entry.frame_count)
     if values is None:
-        values = _parse_validated_trial(path, text)
-    if len(values) != entry.frame_count:
-        raise MalformedRowError(f"{path}: manifest frame_count is {entry.frame_count}, "
-                                f"the file has {len(values)} data rows", path=str(path))
+        text = _text(path, data)
+        values = _parse_plain_trial(text)
+        if values is None:
+            values = _parse_validated_trial(path, text)
+        if len(values) != entry.frame_count:
+            raise MalformedRowError(f"{path}: manifest frame_count is {entry.frame_count}, "
+                                    f"the file has {len(values)} data rows", path=str(path))
     return TrialRecording(values.T)
+
+
+def _twin_values(path: Path, data: bytes, frame_count: int) -> np.ndarray | None:
+    """[frames, 36] sensor values from the binary twin of the trial file at
+    `path`, whose bytes are `data`; None unless the twin holds their sha256
+    and `frame_count` frames of finite values, as the file's parse would give."""
+    try:
+        twin = _twin_path(path).read_bytes()
+    except OSError:
+        return None
+    if (len(twin) != DIGEST_BYTES + frame_count * N_CHANNELS * TWIN_DTYPE.itemsize
+            or twin[:DIGEST_BYTES] != hashlib.sha256(data).digest()):
+        return None
+    values = np.frombuffer(twin, TWIN_DTYPE, offset=DIGEST_BYTES).astype(np.float64)
+    # the parse reports a non-finite value with its file and line
+    return values.reshape(frame_count, N_CHANNELS) if np.isfinite(values).all() else None
 
 
 def _parse_plain_trial(text: str) -> np.ndarray | None:

@@ -184,7 +184,6 @@ def train(model: Model, images: np.ndarray, labels: np.ndarray,
     state = AdamState.for_params(params)
     stopper = EarlyStopper(config.patience, config.min_delta)
     history = TrainHistory()
-    best_snapshot = model.snapshot()
 
     for epoch in range(1, config.max_epochs + 1):
         perm = rng.permutation(n)
@@ -207,6 +206,7 @@ def train(model: Model, images: np.ndarray, labels: np.ndarray,
         history.accuracies.append(epoch_acc)
 
         should_stop = stopper.update(epoch, epoch_loss)
+        # true at epoch 1: its loss is finite and min_delta is finite
         if stopper.best_epoch == epoch:
             best_snapshot = model.snapshot()
         if should_stop:

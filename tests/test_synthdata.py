@@ -2,6 +2,7 @@
 dataset round trip with its error reporting."""
 
 import csv
+import hashlib
 import io
 import multiprocessing
 import os
@@ -279,6 +280,86 @@ class TestTrialFiles:
             assert got == want
         else:
             assert _same_bits(got, want)
+
+
+class TestTwins:
+    """save_dataset writes each trial file's binary twin; a loader takes the
+    values from it only while it matches the trial file, and parses the file
+    otherwise."""
+
+    def test_saved_trials_load_through_their_twins(self, tmp_path, monkeypatch):
+        trials, manifest = generate_dataset(MULTI_TASK)
+        save_dataset(tmp_path, trials, manifest)
+        parsed = []
+        for trial, entry in zip(trials, manifest.entries):
+            path = tmp_path / entry.trial_file
+            data = path.read_bytes()
+            twin = path.with_name(path.name + ".f64").read_bytes()
+            assert twin == (hashlib.sha256(data).digest()
+                            + trial.channels.T.astype("<f8").tobytes(order="C"))
+            parsed.append(signals.TrialRecording(synthdata._parse_plain_trial(data.decode()).T))
+
+        def unparsed(*args):
+            raise AssertionError("a trial file was parsed")
+
+        monkeypatch.setattr(synthdata, "_parse_plain_trial", unparsed)
+        monkeypatch.setattr(synthdata, "_parse_validated_trial", unparsed)
+        loaded, _ = load_dataset(tmp_path)
+        serial = [synthdata._load_trial(tmp_path / e.trial_file, e) for e in manifest.entries]
+        assert len(loaded) == len(serial) == len(parsed)
+        for got, want in [*zip(loaded, parsed), *zip(serial, parsed)]:
+            assert _same_bits(got.channels, want.channels)
+            assert got.channels.strides == want.channels.strides
+            assert got.channels.flags.writeable
+
+    @pytest.mark.parametrize("fault", ["edited value", "truncated twin", "flipped digest byte",
+                                       "deleted twin"])
+    def test_a_twin_that_does_not_match_falls_back_to_the_parse(self, tmp_path, monkeypatch,
+                                                                 fault):
+        trials, manifest = generate_dataset(SMALL)
+        save_dataset(tmp_path, trials, manifest)
+        entry = manifest.entries[4]
+        path = tmp_path / entry.trial_file
+        twin = path.with_name(path.name + ".f64")
+        if fault == "edited value":
+            lines = path.read_bytes().split(b"\r\n")
+            fields = lines[3].split(b",")
+            fields[5] = b"1.5"
+            lines[3] = b",".join(fields)
+            path.write_bytes(b"\r\n".join(lines))
+        elif fault == "truncated twin":
+            twin.write_bytes(twin.read_bytes()[:-8])
+        elif fault == "flipped digest byte":
+            data = bytearray(twin.read_bytes())
+            data[7] ^= 0x01
+            twin.write_bytes(bytes(data))
+        else:
+            twin.unlink()
+        parse = synthdata._parse_plain_trial
+        parses = []
+
+        def counted(text):
+            parses.append(text)
+            return parse(text)
+
+        monkeypatch.setattr(synthdata, "_parse_plain_trial", counted)
+        got = synthdata._load_trial(path, entry).channels
+        text = path.read_bytes().decode()
+        assert parses == [text]
+        assert _same_bits(got.T, parse(text))
+        if fault == "edited value":
+            assert got[4, 2] == 1.5 != trials[4].channels[4, 2]
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_a_twin_does_not_hide_a_non_finite_value(self, tmp_path, value):
+        trials, manifest = generate_dataset(SMALL)
+        trials[0].channels[7, 5] = value
+        save_dataset(tmp_path, trials[:1], Manifest(entries=manifest.entries[:1]))
+        victim = tmp_path / manifest.entries[0].trial_file
+        with pytest.raises(MalformedRowError, match="non-finite") as err:
+            load_dataset(tmp_path)
+        assert err.value.line == 7   # frame 5: the header is line 1
+        assert err.value.path == str(victim) and str(victim) in str(err.value)
 
 
 def _spoil(path, fault):

@@ -10,11 +10,12 @@ keeps the discriminative signal.
 
 On disk a dataset is manifest.csv and one CSV file per trial, the source of
 truth.  Beside each trial file `save_dataset` writes its binary twin,
-`<trial file>.f64`: the sha256 of the CSV bytes, then the trial's values as
-float64.  `load_dataset` takes a trial's values from its twin only while the
-twin holds the digest of the CSV as it is now, the manifest's frame count and
-only finite values; any other trial file, recorded or edited, is parsed, and
-its faults are reported with its file and line.
+`<trial file>.f64`: the sha256 of the CSV bytes followed by the values, then
+the trial's values as float64.  `load_dataset` takes a trial's values from
+its twin only while the twin holds that digest of the CSV as it is now and of
+its own values, the manifest's frame count and only finite values; any other
+trial file, recorded or edited, is read row by row, and its faults are
+reported with its file and line.
 """
 
 from __future__ import annotations
@@ -220,25 +221,14 @@ TRIAL_HEADER = ["frame"] + [f"s{s}{a}" for s in range(N_SENSORS) for a in "xyz"]
 MANIFEST_HEADER = ["trial_file", "subject_id", "zone", "trial_index", "frame_count", "split"]
 
 
-# Trials a worker process reads or writes per task: few enough that the
-# workers end close together, enough that a task's round trip costs little
-# against its text conversion.
+# Trials a worker process writes per task: few enough that the workers end
+# close together, enough that a task's round trip costs little against its
+# text conversion.
 TRIALS_PER_TASK = 16
 
-
-def _map_trials(fn, directory: Path, entries: list[ManifestEntry], doing: str) -> list:
-    """[fn(i) for each trial i], in worker processes; a worker that ends
-    without replying is a DataError naming the trial files it was on."""
-    try:
-        return map_in_workers(fn, len(entries), TRIALS_PER_TASK)
-    except WorkerLostError as exc:
-        first, last = (directory / entries[i].trial_file for i in (exc.items[0], exc.items[-1]))
-        raise DataError(f"a worker process ended while {doing} {first} to {last}",
-                        path=str(first)) from exc
-
-
 # A trial file's binary twin, `<trial file>.f64`: the sha256 of the trial
-# file's bytes, then its [frames, 36] values as little-endian float64 in C order.
+# file's bytes followed by the values' bytes, then the values: the trial's
+# [frames, 36] values as little-endian float64 in C order.
 TWIN_SUFFIX = ".f64"
 TWIN_DTYPE = np.dtype("<f8")
 DIGEST_BYTES = hashlib.sha256().digest_size
@@ -251,7 +241,8 @@ def _twin_path(path: Path) -> Path:
 def save_dataset(directory, trials: list[TrialRecording], manifest: Manifest) -> None:
     """The manifest, then every trial file, each written by worker processes
     (`workers.map_in_workers`) with the bytes csv.writer would write, and
-    straight after it the trial file's binary twin."""
+    straight after it the trial file's binary twin.  A worker that ends
+    without replying is a DataError naming the trial files of its task."""
     directory = Path(directory)
     if len(trials) != len(manifest.entries):
         raise ValueError("trial list and manifest lengths differ")
@@ -263,12 +254,18 @@ def save_dataset(directory, trials: list[TrialRecording], manifest: Manifest) ->
         rows = (f"{frame}," + ",".join(map(repr, values))
                 for frame, values in enumerate(frames.tolist()))
         data = lines_text([",".join(TRIAL_HEADER), *rows], end="\r\n").encode()
+        value_bytes = frames.astype(TWIN_DTYPE).tobytes()
         path = directory / manifest.entries[i].trial_file
         write_file(path, data)
-        write_file(_twin_path(path),
-                   hashlib.sha256(data).digest() + frames.astype(TWIN_DTYPE).tobytes())
+        write_file(_twin_path(path), hashlib.sha256(data + value_bytes).digest() + value_bytes)
 
-    _map_trials(write_trial, directory, manifest.entries, "writing")
+    try:
+        map_in_workers(write_trial, len(trials), TRIALS_PER_TASK)
+    except WorkerLostError as exc:
+        first, last = (directory / manifest.entries[i].trial_file
+                       for i in (exc.items[0], exc.items[-1]))
+        raise DataError(f"a worker process ended while writing {first} to {last}",
+                        path=str(first)) from exc
 
 
 def write_manifest(path, manifest: Manifest, comments=(), end: str = "\r\n") -> None:
@@ -341,78 +338,51 @@ def _text(path: Path, data: bytes) -> str:
 def load_dataset(directory, manifest: Manifest | None = None,
                  ) -> tuple[list[TrialRecording], Manifest]:
     """The trials of `manifest`, by default of the directory's whole
-    manifest.csv, read from their files under `directory` (or their binary
-    twins, while those match) by worker processes
-    (`workers.map_in_workers`), in manifest order.  A fault raises the error
-    of the first bad trial file in manifest order."""
+    manifest.csv, read in manifest order from their files under `directory`
+    (or their binary twins, while those match).  A fault raises the error of
+    the first bad trial file."""
     directory = Path(directory)
     if manifest is None:
         manifest = load_manifest(directory)
-    entries = manifest.entries
-    trials = _map_trials(lambda i: _load_trial(directory / entries[i].trial_file, entries[i]),
-                         directory, entries, "reading")
-    return trials, manifest
+    return [_load_trial(directory / e.trial_file, e) for e in manifest.entries], manifest
 
 
 def _load_trial(path: Path, entry: ManifestEntry) -> TrialRecording:
     if not path.exists():
         raise MissingTrialFileError(f"trial file missing: {path}", path=str(path))
-    data = _read_bytes(path)
-    values = _twin_values(path, data, entry.frame_count)
+    values = _twin_values(path, entry.frame_count)
     if values is None:
-        text = _text(path, data)
-        values = _parse_plain_trial(text)
-        if values is None:
-            values = _parse_validated_trial(path, text)
+        values = _parse_validated_trial(path, _text(path, _read_bytes(path)))
         if len(values) != entry.frame_count:
             raise MalformedRowError(f"{path}: manifest frame_count is {entry.frame_count}, "
                                     f"the file has {len(values)} data rows", path=str(path))
     return TrialRecording(values.T)
 
 
-def _twin_values(path: Path, data: bytes, frame_count: int) -> np.ndarray | None:
+def _twin_values(path: Path, frame_count: int) -> np.ndarray | None:
     """[frames, 36] sensor values from the binary twin of the trial file at
-    `path`, whose bytes are `data`; None unless the twin holds their sha256
-    and `frame_count` frames of finite values, as the file's parse would give."""
+    `path`; None unless the twin holds the sha256 of the file's bytes and its
+    own values, and `frame_count` frames of finite values, as the file's
+    parse would give."""
+    n_values = frame_count * N_CHANNELS
+    twin = _twin_path(path)
     try:
-        twin = _twin_path(path).read_bytes()
-    except OSError:
+        if twin.stat().st_size != DIGEST_BYTES + n_values * TWIN_DTYPE.itemsize:
+            return None
+        with open(twin, "rb") as fh:
+            digest = fh.read(DIGEST_BYTES)
+            values = np.fromfile(fh, TWIN_DTYPE, n_values)
+        sha = hashlib.sha256()
+        with open(path, "rb") as fh:
+            for block in iter(lambda: fh.read(1 << 16), b""):
+                sha.update(block)
+    except OSError:  # a trial file that cannot be read is reported by the parse
         return None
-    if (len(twin) != DIGEST_BYTES + frame_count * N_CHANNELS * TWIN_DTYPE.itemsize
-            or twin[:DIGEST_BYTES] != hashlib.sha256(data).digest()):
-        return None
-    values = np.frombuffer(twin, TWIN_DTYPE, offset=DIGEST_BYTES).astype(np.float64)
+    sha.update(values)
     # the parse reports a non-finite value with its file and line
-    return values.reshape(frame_count, N_CHANNELS) if np.isfinite(values).all() else None
-
-
-def _parse_plain_trial(text: str) -> np.ndarray | None:
-    """[frames, 36] sensor values of a file in the plain form save_dataset
-    writes, parsed in one call; None for any other file.
-
-    Plain: a 37-column header, at least one data row, every row 37
-    columns, LF or CRLF line ends, no blank line, no '#', no quote, no NUL,
-    and every sensor value finite.  On such a file the row validator reads
-    the same values, so it is left to name the file and line of every
-    other file's fault.  The frame column is parsed here too, so a
-    non-numeric frame also takes the validator's path, which ignores it.
-    """
-    body = text.replace("\r\n", "\n")
-    if any(c in body for c in ("#", '"', "\x00", "\r")):
+    if sha.digest() != digest or not np.isfinite(values).all():
         return None
-    lines = body.split("\n")
-    if lines[-1] == "":
-        lines.pop()
-    if len(lines) < 2 or lines[0].count(",") != N_CHANNELS:
-        return None
-    try:
-        table = np.loadtxt(lines[1:], delimiter=",", dtype=np.float64, comments=None, ndmin=2)
-    except ValueError:
-        return None
-    # loadtxt skips blank lines, which the validator rejects
-    if table.shape != (len(lines) - 1, N_CHANNELS + 1) or not np.isfinite(table[:, 1:]).all():
-        return None
-    return np.ascontiguousarray(table[:, 1:])
+    return values.reshape(frame_count, N_CHANNELS)
 
 
 def _parse_validated_trial(path: Path, text: str) -> np.ndarray:

@@ -1,11 +1,11 @@
 """Per-item work of one call spread over fork-started worker processes.
 
-Reading and writing trial files is CPU-bound text conversion that holds the
-interpreter lock, so threads do not overlap it; processes do.  Workers are
-forked so that they inherit the caller's data: only task bounds go out and
-only results come back.  Each worker runs Python and numpy element-wise
-code alone, never BLAS, so the native threads the parent may hold are not
-needed in the child.
+Writing trial files (`synthdata.save_dataset`) is CPU-bound text conversion
+that holds the interpreter lock, so threads do not overlap it; processes do.
+Workers are forked so that they inherit the caller's data: only task bounds
+go out and only results come back.  Each worker runs Python and numpy
+element-wise code alone, never BLAS, so the native threads the parent may
+hold are not needed in the child.
 """
 
 from __future__ import annotations

@@ -75,6 +75,20 @@ class TestSynth:
             run(["synth"])
         assert exc.value.code == 2
 
+    def test_lost_worker_exit_3(self, tmp_path, capsys, monkeypatch):
+        write_file = synthdata.write_file
+
+        def killed_on_first(path, data):
+            if path.name == "trial_0_1_0.csv":
+                os._exit(1)   # as a worker killed from outside ends
+            write_file(path, data)
+
+        monkeypatch.setattr(synthdata, "write_file", killed_on_first)
+        rc = run(["synth", "--out", str(tmp_path / "data"), "--profile", "desk"])
+        err = capsys.readouterr().err
+        assert rc == cli.EXIT_DATA, err
+        assert "worker process ended while writing" in err and "trial_0_1_0.csv" in err
+
     def test_desk_profile_config(self, tmp_path):
         out = tmp_path / "d"
         run(["synth", "--out", str(out), "--profile", "desk", "--seed", "9"])
@@ -100,22 +114,6 @@ class TestTrain:
         assert any(l.startswith("epoch,loss,accuracy") for l in history_lines)
         manifest_text = (tmp_path / "out" / "model_manifest.csv").read_text()
         assert ",train" in manifest_text and ",test" in manifest_text
-
-    def test_lost_worker_exit_3(self, tiny_dataset_dir, tiny_config_file, tmp_path, capsys,
-                                monkeypatch):
-        load_trial = synthdata._load_trial
-
-        def killed_on_first(path, entry):
-            if entry.trial_file == "trials/trial_0_1_0.csv":
-                os._exit(1)   # as a worker killed from outside ends
-            return load_trial(path, entry)
-
-        monkeypatch.setattr(synthdata, "_load_trial", killed_on_first)
-        rc = run(["train", "--data", str(tiny_dataset_dir), "--config",
-                  str(tiny_config_file), "--out", str(tmp_path / "m.ckpt")])
-        err = capsys.readouterr().err
-        assert rc == cli.EXIT_DATA, err
-        assert "worker process ended while reading" in err and "trial_0_1_0.csv" in err
 
     def test_unknown_config_key_exit_2(self, tiny_dataset_dir, tmp_path, capsys):
         bad = tmp_path / "bad.txt"
@@ -744,6 +742,24 @@ class TestTune:
                   "--config", str(tiny_config_file), "--out", str(tmp_path / "t.csv")])
         assert rc == cli.EXIT_CONFIG
         assert "gamma" in capsys.readouterr().err
+
+
+def test_only_synth_starts_a_process(tiny_dataset_dir, tiny_config_file, tmp_path,
+                                     monkeypatch):
+    def no_fork():
+        raise AssertionError("a process was forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    grid = tmp_path / "grid.txt"
+    grid.write_text("lambdas = 1e-5\nalphas = 1e-3\ndropouts = 0.25\n")
+    data, ckpt = str(tiny_dataset_dir), str(tmp_path / "m.ckpt")
+    for args in (["train", "--data", data, "--config", str(tiny_config_file), "--out", ckpt],
+                 ["eval", "--model", ckpt, "--data", data],
+                 ["saliency", "--model", ckpt, "--data", data, "--class", "high",
+                  "--out", str(tmp_path / "sal")],
+                 ["tune", "--data", data, "--grid", str(grid), "--config",
+                  str(tiny_config_file), "--out", str(tmp_path / "tune.csv")]):
+        assert run(args) == 0, args
 
 
 class TestConfigParsing:

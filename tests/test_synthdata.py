@@ -241,51 +241,11 @@ class TestTrialFiles:
                 w.writerow([frame] + [repr(float(v)) for v in trial.channels[:, frame]])
             assert (tmp_path / entry.trial_file).read_bytes() == oracle.getvalue().encode()
 
-    def test_saved_file_takes_the_whole_file_parse(self, tmp_path):
-        trials, manifest = generate_dataset(SMALL)
-        save_dataset(tmp_path, trials[:1], Manifest(entries=manifest.entries[:1]))
-        path = tmp_path / manifest.entries[0].trial_file
-        text = path.read_bytes().decode()
-        fast = synthdata._parse_plain_trial(text)
-        assert fast is not None
-        assert _same_bits(fast, synthdata._parse_validated_trial(path, text))
-        assert _same_bits(fast, trials[0].channels.T)
-
-    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(data=st.data())
-    def test_reader_agrees_with_validator(self, tmp_path, data):
-        n_rows = data.draw(st.integers(1, 3))
-        values = data.draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
-                                    min_size=36 * n_rows, max_size=36 * n_rows))
-        lines = [",".join(synthdata.TRIAL_HEADER)]
-        lines += [",".join([str(r)] + [repr(v) for v in values[36 * r: 36 * (r + 1)]])
-                  for r in range(n_rows)]
-        for mutation in data.draw(st.lists(st.sampled_from(sorted(MUTATIONS)), max_size=3)):
-            MUTATIONS[mutation](lines, data)
-        ending = data.draw(st.sampled_from(["\r\n", "\n", "\r"]))
-        text = ending.join(lines) + data.draw(st.sampled_from([ending, ""]))
-        path = tmp_path / "trial.csv"
-        path.write_bytes(text.encode())
-        entry = ManifestEntry("trial.csv", 0, 1, 0, n_rows)
-
-        def outcome(read):
-            try:
-                return read()
-            except DataError as exc:
-                return type(exc), exc.line, str(exc)
-
-        got = outcome(lambda: synthdata._load_trial(path, entry).channels.T)
-        want = outcome(lambda: synthdata._parse_validated_trial(path, text))
-        if isinstance(want, tuple):
-            assert got == want
-        else:
-            assert _same_bits(got, want)
-
 
 class TestTwins:
     """save_dataset writes each trial file's binary twin; a loader takes the
-    values from it only while it matches the trial file, and parses the file
-    otherwise."""
+    values from it only while it matches the trial file, and reads the file
+    row by row otherwise."""
 
     def test_saved_trials_load_through_their_twins(self, tmp_path, monkeypatch):
         trials, manifest = generate_dataset(MULTI_TASK)
@@ -294,26 +254,25 @@ class TestTwins:
         for trial, entry in zip(trials, manifest.entries):
             path = tmp_path / entry.trial_file
             data = path.read_bytes()
+            values = trial.channels.T.astype("<f8").tobytes(order="C")
             twin = path.with_name(path.name + ".f64").read_bytes()
-            assert twin == (hashlib.sha256(data).digest()
-                            + trial.channels.T.astype("<f8").tobytes(order="C"))
-            parsed.append(signals.TrialRecording(synthdata._parse_plain_trial(data.decode()).T))
+            assert twin == hashlib.sha256(data + values).digest() + values
+            parsed.append(signals.TrialRecording(
+                synthdata._parse_validated_trial(path, data.decode()).T))
 
         def unparsed(*args):
             raise AssertionError("a trial file was parsed")
 
-        monkeypatch.setattr(synthdata, "_parse_plain_trial", unparsed)
         monkeypatch.setattr(synthdata, "_parse_validated_trial", unparsed)
         loaded, _ = load_dataset(tmp_path)
-        serial = [synthdata._load_trial(tmp_path / e.trial_file, e) for e in manifest.entries]
-        assert len(loaded) == len(serial) == len(parsed)
-        for got, want in [*zip(loaded, parsed), *zip(serial, parsed)]:
+        assert len(loaded) == len(parsed)
+        for got, want in zip(loaded, parsed):
             assert _same_bits(got.channels, want.channels)
             assert got.channels.strides == want.channels.strides
             assert got.channels.flags.writeable
 
     @pytest.mark.parametrize("fault", ["edited value", "truncated twin", "flipped digest byte",
-                                       "deleted twin"])
+                                       "flipped value bit", "deleted twin"])
     def test_a_twin_that_does_not_match_falls_back_to_the_parse(self, tmp_path, monkeypatch,
                                                                  fault):
         trials, manifest = generate_dataset(SMALL)
@@ -333,22 +292,28 @@ class TestTwins:
             data = bytearray(twin.read_bytes())
             data[7] ^= 0x01
             twin.write_bytes(bytes(data))
+        elif fault == "flipped value bit":
+            data = bytearray(twin.read_bytes())
+            data[synthdata.DIGEST_BYTES + 8] ^= 0x01   # the second value's lowest bit
+            twin.write_bytes(bytes(data))
         else:
             twin.unlink()
-        parse = synthdata._parse_plain_trial
+        parse = synthdata._parse_validated_trial
         parses = []
 
-        def counted(text):
+        def counted(path, text):
             parses.append(text)
-            return parse(text)
+            return parse(path, text)
 
-        monkeypatch.setattr(synthdata, "_parse_plain_trial", counted)
+        monkeypatch.setattr(synthdata, "_parse_validated_trial", counted)
         got = synthdata._load_trial(path, entry).channels
         text = path.read_bytes().decode()
         assert parses == [text]
-        assert _same_bits(got.T, parse(text))
+        assert _same_bits(got.T, parse(path, text))
         if fault == "edited value":
             assert got[4, 2] == 1.5 != trials[4].channels[4, 2]
+        else:
+            assert _same_bits(got, trials[4].channels)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_a_twin_does_not_hide_a_non_finite_value(self, tmp_path, value):
@@ -388,8 +353,9 @@ def _error(exc: DataError):
 
 
 class TestWorkers:
-    """load_dataset and save_dataset hand their trials to worker processes,
-    TRIALS_PER_TASK at a time; errors and results keep manifest order."""
+    """save_dataset hands its trials to worker processes, TRIALS_PER_TASK at
+    a time; load_dataset reads them in the calling process.  Errors and
+    results keep manifest order."""
 
     @pytest.mark.parametrize("faults", [
         [(17, "bad value"), (40, "cut")],
@@ -430,14 +396,13 @@ class TestWorkers:
 
     def test_no_worker_outlives_an_interrupt(self, tmp_path, monkeypatch):
         trials, manifest = generate_dataset(MULTI_TASK)
-        save_dataset(tmp_path, trials, manifest)
 
         def interrupted(connections):
             raise KeyboardInterrupt
 
         monkeypatch.setattr(workers, "wait", interrupted)
         with pytest.raises(KeyboardInterrupt):
-            load_dataset(tmp_path)
+            save_dataset(tmp_path, trials, manifest)
         assert multiprocessing.active_children() == []
 
     def test_save_interrupted_mid_write_leaves_no_temporary_file(self, tmp_path, monkeypatch):
@@ -465,18 +430,17 @@ class TestWorkers:
 
     def test_lost_worker_is_a_data_error_naming_its_trial_files(self, tmp_path, monkeypatch):
         trials, manifest = generate_dataset(MULTI_TASK)
-        save_dataset(tmp_path, trials, manifest)
-        lost = manifest.entries[20].trial_file
-        load_trial = synthdata._load_trial
+        lost = tmp_path / manifest.entries[20].trial_file
+        write_file = synthdata.write_file
 
-        def killed_on_one(path, entry):
-            if entry.trial_file == lost:
+        def killed_on_one(path, data):
+            if path == lost:
                 os._exit(1)
-            return load_trial(path, entry)
+            write_file(path, data)
 
-        monkeypatch.setattr(synthdata, "_load_trial", killed_on_one)
-        with pytest.raises(DataError, match="worker process ended while reading") as caught:
-            load_dataset(tmp_path)
+        monkeypatch.setattr(synthdata, "write_file", killed_on_one)
+        with pytest.raises(DataError, match="worker process ended while writing") as caught:
+            save_dataset(tmp_path, trials, manifest)
         task = manifest.entries[16:32]
         assert caught.value.path == str(tmp_path / task[0].trial_file)
         assert task[-1].trial_file in str(caught.value)
@@ -594,48 +558,6 @@ class TestWorkers:
 def _same_bits(a, b) -> bool:
     return (a.shape == b.shape and a.dtype == b.dtype
             and np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes())
-
-
-def _set_field(lines, data, column, value):
-    k = data.draw(st.integers(1, len(lines) - 1)) if len(lines) > 1 else 0
-    fields = lines[k].split(",")
-    fields[min(column, len(fields) - 1)] = value
-    lines[k] = ",".join(fields)
-
-
-def _mid_line_hash(lines, data):
-    k = data.draw(st.integers(0, len(lines) - 1))
-    j = data.draw(st.integers(1, max(1, len(lines[k]) - 1)))
-    lines[k] = lines[k][:j] + "#" + lines[k][j:]
-
-
-def _quoted_field(lines, data):
-    k = data.draw(st.integers(0, len(lines) - 1))
-    fields = lines[k].split(",")
-    c = data.draw(st.integers(0, len(fields) - 1))
-    fields[c] = f'"{fields[c]}"'
-    lines[k] = ",".join(fields)
-
-
-def _trailing_comma(lines, data):
-    k = data.draw(st.integers(0, len(lines) - 1))
-    lines[k] += ","
-
-
-# Edits of a well-formed trial file, each of which the whole-file parse must
-# hand to the row validator (or read exactly as the validator does).
-MUTATIONS = {
-    "blank line": lambda lines, data: lines.insert(data.draw(st.integers(0, len(lines))), ""),
-    "mid-line #": _mid_line_hash,
-    "quoted field": _quoted_field,
-    "trailing comma": _trailing_comma,
-    "non-finite": lambda lines, data: _set_field(
-        lines, data, data.draw(st.integers(1, 36)),
-        data.draw(st.sampled_from(["nan", "inf", "-inf", "Infinity", "1e400"]))),
-    "underscore": lambda lines, data: _set_field(lines, data, data.draw(st.integers(1, 36)),
-                                                 "1_000"),
-    "non-numeric frame": lambda lines, data: _set_field(lines, data, 0, "frame7"),
-}
 
 
 class TestManifest:

@@ -511,6 +511,58 @@ class TestConvRebuiltPatches:
             assert got.dtype == ref.dtype and np.array_equal(got, ref)
 
 
+class TestPatchBuilder:
+    """`_im2col` builds the nine-slice patch matrix byte for byte, without
+    `np.pad` or `as_strided`."""
+
+    @pytest.mark.parametrize("dims", [(0, 5, 4, 3), (2, 1, 1, 2), (3, 1, 5, 2), (2, 6, 2, 3),
+                                      (1, 2, 2, 1), (3, 7, 5, 3), (2, 9, 11, 4)])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_matches_nine_slice_reference(self, dtype, dims):
+        from liftrisk.nncore import _im2col
+
+        x = np.random.default_rng(sum(dims)).normal(size=dims).astype(dtype)
+        cols = _im2col(x)
+        assert same_bytes(cols, patches_reference(x)) and cols.flags.c_contiguous
+
+    @pytest.mark.parametrize("view", ["every-other-column", "transposed"])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_non_contiguous_input_matches_reference(self, dtype, view):
+        from liftrisk.nncore import _im2col
+
+        rng = np.random.default_rng(61)
+        if view == "every-other-column":
+            x = rng.normal(size=(3, 5, 9, 2)).astype(dtype)[:, :, ::2]
+        else:
+            x = rng.normal(size=(2, 7, 5, 3)).astype(dtype).T
+        assert not x.flags.c_contiguous
+        assert same_bytes(_im2col(x), patches_reference(x))
+
+    def test_conv_paths_need_neither_pad_nor_as_strided(self, monkeypatch):
+        from numpy.lib import stride_tricks
+
+        x = np.random.default_rng(62).normal(size=(4, 13, 11, 3))
+        onehot = np.eye(3)[[0, 1, 2, 1]]
+
+        def passes():
+            # a fresh model each time: the train pass moves BatchNorm's statistics
+            model = small_preset("vgg_b_avg")
+            y, _ = model.layers[0].forward(x, False, None)
+            model.forward(x, train=True, rng=np.random.default_rng(63))
+            return [y, *model.backward(onehot), model.logit_input_gradient(x[:1], 2)]
+
+        want = passes()
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the conv patch path called np.pad or as_strided")
+
+        monkeypatch.setattr(np, "pad", forbidden)
+        monkeypatch.setattr(stride_tricks, "as_strided", forbidden)
+        got = passes()
+        assert len(got) == len(want)
+        assert all(same_bytes(a, b) for a, b in zip(got, want))
+
+
 # (H, W, Cin, Cout) of the five convolutions of vgg_b_* at the desk image
 # shape (55x55x3, filters 8/16/32) and of conv layers 0 and 4 at the paper
 # shape (95x95x3, filters 32/64/128)

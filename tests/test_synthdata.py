@@ -227,6 +227,57 @@ class TestSaveLoad:
         loaded, loaded_manifest = load_dataset(tmp_path)
         assert loaded_manifest == manifest
 
+    @pytest.mark.parametrize("faults", [
+        [(17, "bad value"), (40, "cut")],
+        [(15, "cut"), (16, "bad value")],
+        [(30, "0xff"), (33, "directory")],
+        [(2, "directory"), (47, "0xff")],
+    ], ids=["value-then-cut", "cut-then-value", "0xff-then-directory", "directory-then-0xff"])
+    def test_first_fault_in_manifest_order(self, tmp_path, faults):
+        trials, manifest = generate_dataset(MULTI_TASK)
+        save_dataset(tmp_path, trials, manifest)
+        for i, fault in faults:
+            _spoil(tmp_path / manifest.entries[i].trial_file, fault)
+        first = manifest.entries[faults[0][0]]
+        with pytest.raises(DataError) as one:
+            synthdata._load_trial(tmp_path / first.trial_file, first)
+        with pytest.raises(DataError) as whole:
+            load_dataset(tmp_path)
+        assert _error(whole.value) == _error(one.value)
+        assert first.trial_file in str(whole.value)
+
+    def test_load_starts_no_process_or_thread(self, tmp_path):
+        trials, manifest = generate_dataset(MULTI_TASK)
+        save_dataset(tmp_path, trials, manifest)
+        threads = threading.active_count()
+        loaded, _ = load_dataset(tmp_path)
+        assert len(loaded) == len(trials)
+        assert multiprocessing.active_children() == []
+        assert threading.active_count() == threads
+        _spoil(tmp_path / manifest.entries[20].trial_file, "cut")
+        with pytest.raises(MalformedRowError):
+            load_dataset(tmp_path)
+        assert multiprocessing.active_children() == []
+        assert threading.active_count() == threads
+
+    def test_non_numeric_value_chains_the_trial_readers_cause(self, tmp_path):
+        trials, manifest = generate_dataset(SMALL)
+        save_dataset(tmp_path, trials, manifest)
+        entry = manifest.entries[1]
+        victim = tmp_path / entry.trial_file
+        lines = victim.read_text().splitlines()
+        parts = lines[2].split(",")
+        parts[4] = "not-a-number"
+        lines[2] = ",".join(parts)
+        victim.write_text("\n".join(lines) + "\n")
+        with pytest.raises(MalformedRowError) as one:
+            synthdata._load_trial(victim, entry)
+        with pytest.raises(MalformedRowError) as whole:
+            load_dataset(tmp_path)
+        assert str(whole.value) == str(one.value)
+        assert type(whole.value.__cause__) is ValueError
+        assert str(whole.value.__cause__) == str(one.value.__cause__)
+
 
 class TestTrialFiles:
     def test_writer_bytes_match_csv_writer(self, tmp_path):
@@ -354,43 +405,13 @@ def _error(exc: DataError):
 
 class TestWorkers:
     """save_dataset hands its trials to worker processes, TRIALS_PER_TASK at
-    a time; load_dataset reads them in the calling process.  Errors and
-    results keep manifest order."""
-
-    @pytest.mark.parametrize("faults", [
-        [(17, "bad value"), (40, "cut")],
-        [(15, "cut"), (16, "bad value")],   # the later task fails first
-        [(30, "0xff"), (33, "directory")],
-        [(2, "directory"), (47, "0xff")],
-    ], ids=["value-then-cut", "late-then-early", "0xff-then-directory", "directory-then-0xff"])
-    def test_first_fault_in_manifest_order(self, tmp_path, faults):
-        trials, manifest = generate_dataset(MULTI_TASK)
-        save_dataset(tmp_path, trials, manifest)
-        tasks = {i // synthdata.TRIALS_PER_TASK for i, _ in faults}
-        assert len(tasks) == 2
-        for i, fault in faults:
-            _spoil(tmp_path / manifest.entries[i].trial_file, fault)
-        first = manifest.entries[faults[0][0]]
-        with pytest.raises(DataError) as serial:
-            synthdata._load_trial(tmp_path / first.trial_file, first)
-        with pytest.raises(DataError) as parallel:
-            load_dataset(tmp_path)
-        assert _error(parallel.value) == _error(serial.value)
-        assert first.trial_file in str(parallel.value)
+    a time; errors and results keep manifest order.  load_dataset reads in
+    the calling process (TestSaveLoad)."""
 
     def test_no_worker_or_thread_outlives_a_call(self, tmp_path):
         trials, manifest = generate_dataset(MULTI_TASK)
         threads = threading.active_count()
         save_dataset(tmp_path, trials, manifest)
-        assert multiprocessing.active_children() == []
-        assert threading.active_count() == threads
-        loaded, _ = load_dataset(tmp_path)
-        assert len(loaded) == len(trials)
-        assert multiprocessing.active_children() == []
-        assert threading.active_count() == threads
-        _spoil(tmp_path / manifest.entries[20].trial_file, "cut")
-        with pytest.raises(MalformedRowError):
-            load_dataset(tmp_path)
         assert multiprocessing.active_children() == []
         assert threading.active_count() == threads
 
@@ -535,24 +556,6 @@ class TestWorkers:
             workers.map_in_workers(chained_at_3, 8, 2)
         cause = caught.value.__cause__
         assert type(cause) is ValueError and str(cause) == "could not convert string to float: 'x'"
-
-    def test_non_numeric_value_chains_the_serial_readers_cause(self, tmp_path):
-        trials, manifest = generate_dataset(SMALL)
-        save_dataset(tmp_path, trials, manifest)
-        entry = manifest.entries[1]
-        victim = tmp_path / entry.trial_file
-        lines = victim.read_text().splitlines()
-        parts = lines[2].split(",")
-        parts[4] = "not-a-number"
-        lines[2] = ",".join(parts)
-        victim.write_text("\n".join(lines) + "\n")
-        with pytest.raises(MalformedRowError) as serial:
-            synthdata._load_trial(victim, entry)
-        with pytest.raises(MalformedRowError) as caught:
-            load_dataset(tmp_path)
-        assert str(caught.value) == str(serial.value)
-        assert type(caught.value.__cause__) is ValueError
-        assert str(caught.value.__cause__) == str(serial.value.__cause__)
 
 
 def _same_bits(a, b) -> bool:

@@ -13,10 +13,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from itertools import zip_longest
 from pathlib import Path
-
-import numpy as np
 
 from . import hypertune, metrics, pipeline, saliency, signals, synthdata, trainer
 from .config import PipelineConfig, desk_config, load_config, parse_kv_lines
@@ -24,7 +21,7 @@ from .errors import (CheckpointMismatchError, ConfigError, DataError,
                      TrainingDivergedError)
 from .fileio import check_writable, lines_text, write_file
 from .imaging import image_shape
-from .nncore import Model
+from .nncore import Model, model_lines
 
 EXIT_CONFIG = 2
 EXIT_DATA = 3
@@ -137,11 +134,10 @@ def _eval_config(model: Model, path) -> PipelineConfig:
     images, and the report's header names the config.  Checked before any
     trial file is read."""
     config = load_config(path)
-    shape = image_shape(config.target_frames, config.image_width)
-    built = [f"input shape {shape}", *config.preset().spec_lines(), f"dtype {config.dtype}"]
-    loaded = [f"input shape {model.input_shape}", *model.spec_lines(),
-              f"dtype {np.dtype(model.dtype).name}"]
-    for got, want in zip_longest(built, loaded, fillvalue="no layer"):
+    built = model_lines(config.preset(), image_shape(config.target_frames, config.image_width),
+                        config.np_dtype)
+    # the first line, `layers N`, differs when the layer counts differ
+    for got, want in zip(built, model_lines(model, model.input_shape, model.dtype)):
         if got != want:
             raise CheckpointMismatchError(f"{path}: builds {got!r} where the checkpoint's "
                                           f"model has {want!r}")

@@ -9,18 +9,22 @@ from .errors import OutputPathError
 def write_file(path, data: str | bytes) -> None:
     """Write `data` (a str as UTF-8) to `.<name>.<hex>.tmp` beside `path`, with
     open()'s permission bits, then rename it over `path`: never part of a file.
-    Missing directories on the way to `path` are made."""
+    Missing directories on the way to `path` are made.  An OSError on the way
+    raises OutputPathError naming `path`, once the temporary file is gone."""
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with open(fd, "wb") as fh:
-            fh.write(data.encode() if isinstance(data, str) else data)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        try:
+            with open(fd, "wb") as fh:
+                fh.write(data.encode() if isinstance(data, str) else data)
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
+    except OSError as exc:
+        raise OutputPathError(f"cannot write output {path}: {exc.strerror or exc}") from exc
 
 
 def check_writable(path, directory: bool = False) -> None:

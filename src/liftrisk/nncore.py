@@ -2,10 +2,12 @@
 used by the classifier and its comparison models.
 
 Layers operate on batched arrays [N, H, W, C] (or [N, features] after
-Flatten) and return functional caches, so backward passes never share state
-between invocations.  Convolutions are 3x3, stride 1, zero same-padding with
-ReLU; pooling is 2x2 stride 2 with floor semantics.  All parameter updates
-happen outside this module (see trainer).
+Flatten) and return functional caches: a layer's backward reads only the
+cache it is given.  The one state a Model keeps between calls is the caches
+of its last train-mode forward, which its backward reads.  Convolutions are
+3x3, stride 1, zero same-padding with ReLU; pooling is 2x2 stride 2 with
+floor semantics.  All parameter updates happen outside this module (see
+trainer).
 """
 
 from __future__ import annotations
@@ -388,31 +390,25 @@ class BatchNorm(Layer):
         return f"batchnorm momentum={BN_MOMENTUM!r} epsilon={BN_EPSILON!r}"
 
 
-class SoftmaxOutput(Layer):
-    """Final dense layer producing K logits, followed by softmax.
+class SoftmaxOutput(Dense):
+    """Final dense layer: K linear logits, followed by softmax.
 
     L2 regularization (lambda * sum(w^2)) applies to this layer's weight
     matrix only; its gradient contribution is added in backward.  backward
     expects the upstream gradient with respect to the LOGITS, which lets the
     caller fuse the softmax + cross-entropy derivative (probs - onehot) or
-    seed a single logit for saliency.
-    """
-
-    PARAMS = ("w", "b")
+    seed a single logit for saliency.  It calls no Dense method, so a wrapper
+    around each class's methods sees one call per layer."""
 
     def __init__(self, classes: int, l2_lambda: float = 0.0):
         if not 0 <= l2_lambda < math.inf:
             raise ValueError(f"l2_lambda must be finite and >= 0, got {l2_lambda}")
-        self.classes = classes
+        super().__init__(classes)
         self.l2_lambda = l2_lambda
-        self.w = None
-        self.b = None
 
-    def build(self, in_shape, rng, dtype):
-        (n,) = in_shape
-        self.w = _glorot(rng, (n, self.classes), n, self.classes, dtype)
-        self.b = np.zeros(self.classes, dtype=dtype)
-        return (self.classes,)
+    @property
+    def classes(self) -> int:
+        return self.units
 
     def forward(self, x, train, rng):
         return softmax_output(x @ self.w + self.b).astype(x.dtype), x
@@ -425,7 +421,7 @@ class SoftmaxOutput(Layer):
         return (dlogits @ self.w.T if need_dx else None), grads
 
     def spec_line(self):
-        return f"softmax classes={self.classes} l2_lambda={self.l2_lambda!r}"
+        return f"softmax classes={self.units} l2_lambda={self.l2_lambda!r}"
 
 
 # ---------------------------------------------------------------------------
@@ -482,22 +478,11 @@ class Model:
         and its ReLU mask, not its patch matrix, which backward rebuilds.  An
         inference pass drops each layer's cache as soon as the layer returns.
         """
-        if not self.built:
-            raise RuntimeError("model is not built")
-        self._train_caches = None
-        self._train_probs = None
-        x = np.asarray(x, dtype=self.dtype)
-        caches = []
-        for layer in self.layers:
-            if train:
-                x, cache = layer.forward(x, True, rng)
-                caches.append(cache)
-            else:
-                x = layer.forward(x, False, rng)[0]
+        self._train_caches = self._train_probs = None
+        probs, caches = self._forward_pass(x, train, rng, train)
         if train:
-            self._train_caches = caches
-            self._train_probs = x
-        return x
+            self._train_caches, self._train_probs = caches, probs
+        return probs
 
     def backward(self, onehot: np.ndarray) -> list[np.ndarray]:
         """Gradients of (mean cross-entropy + L2 on the output layer) for every
@@ -507,35 +492,46 @@ class Model:
             raise RuntimeError("backward requires a preceding train-mode forward")
         n = onehot.shape[0]
         dlogits = (self._train_probs - onehot.astype(self.dtype)) / n
-        grads_rev: list[list[np.ndarray]] = []
-        dout = dlogits
-        for i in range(len(self.layers) - 1, -1, -1):
-            # flags go positionally: a wrapper installed around a layer's
-            # backward may pass on positional arguments only
-            dout, g = self.layers[i].backward(dout, self._train_caches[i], i > 0, True)
-            grads_rev.append(g)
-        return [a for g in reversed(grads_rev) for a in g]
+        return self._backward_pass(dlogits, self._train_caches, False, True)[1]
 
     def logit_input_gradient(self, x: np.ndarray, class_index: int) -> np.ndarray:
         """d(logit of class_index)/d(input) per sample, inference mode; no
         parameter gradient is computed.
 
         Caches stay local to this call, so concurrent invocations against one
-        trained model do not interfere.
-        """
+        trained model do not interfere; neither `forward` nor `backward` runs."""
         if not 0 <= class_index < self.layers[-1].classes:
             raise ValueError(f"class index {class_index} out of range")
-        x = np.asarray(x, dtype=self.dtype)
-        caches = []
-        out = x
-        for layer in self.layers:
-            out, cache = layer.forward(out, False, None)
-            caches.append(cache)
+        out, caches = self._forward_pass(x, False, None, True)
         dout = np.zeros(out.shape, dtype=self.dtype)
         dout[:, class_index] = 1.0
-        for layer, cache in zip(reversed(self.layers), reversed(caches)):
-            dout, _ = layer.backward(dout, cache, True, False)
-        return dout
+        return self._backward_pass(dout, caches, True, False)[0]
+
+    def _forward_pass(self, x: np.ndarray, train: bool, rng: np.random.Generator | None,
+                      keep_caches: bool) -> tuple[np.ndarray, list]:
+        """(output, every layer's cache if `keep_caches`, else [])."""
+        if not self.built:
+            raise RuntimeError("model is not built")
+        x = np.asarray(x, dtype=self.dtype)
+        caches = []
+        for layer in self.layers:
+            # positional arguments: a wrapper around a layer's methods may pass on no others
+            x, cache = layer.forward(x, train, rng)
+            if keep_caches:
+                caches.append(cache)
+            del cache  # a cache not kept is freed before the next layer runs
+        return x, caches
+
+    def _backward_pass(self, dout: np.ndarray, caches: list, input_grad: bool,
+                       param_grads: bool) -> tuple[np.ndarray | None, list[np.ndarray]]:
+        """(input gradient if `input_grad`, else None; parameter gradients in
+        params() order if `param_grads`, else []) for `dout`, the logits' gradient."""
+        grads: list[np.ndarray] = []
+        for i in range(len(self.layers) - 1, -1, -1):
+            dout, g = self.layers[i].backward(dout, caches[i], input_grad or i > 0, param_grads)
+            if param_grads:
+                grads[:0] = g  # layers run last to first
+        return dout, grads
 
     def snapshot(self) -> list[np.ndarray]:
         return [a.copy() for _, a in _layer_tensors(self)]
@@ -604,7 +600,8 @@ def save_checkpoint(path, model: Model, config_lines: list[str],
     buf = io.BytesIO()
     buf.write(CHECKPOINT_MAGIC + b"\n")
     buf.write(f"version {CHECKPOINT_VERSION}\n".encode())
-    for line in [f"config {len(config_lines)}", *config_lines, *_model_lines(model)]:
+    for line in [f"config {len(config_lines)}", *config_lines,
+                 *model_lines(model, model.input_shape, model.dtype)]:
         buf.write((line + "\n").encode())
 
     tensors = _layer_tensors(model)
@@ -620,12 +617,13 @@ def save_checkpoint(path, model: Model, config_lines: list[str],
     write_file(path, buf.getvalue())
 
 
-def _model_lines(model: Model) -> list[str]:
-    """The header lines that describe a built model: layer spec, input shape, dtype."""
+def model_lines(model: Model, input_shape: tuple, dtype) -> list[str]:
+    """The header lines that describe `model` built for `input_shape` in
+    `dtype`: layer count, layer spec, input shape, dtype."""
     spec = model.spec_lines()
     return [f"layers {len(spec)}", *spec,
-            "input_shape " + " ".join(str(d) for d in model.input_shape),
-            f"dtype {np.dtype(model.dtype).name}"]
+            "input_shape " + " ".join(str(d) for d in input_shape),
+            f"dtype {np.dtype(dtype).name}"]
 
 
 def load_checkpoint(path, build_model: Callable[[list[str]], Model],
@@ -694,7 +692,7 @@ def load_checkpoint(path, build_model: Callable[[list[str]], Model],
                                       f"(this build reads version {CHECKPOINT_VERSION})")
     config_lines = [read_line() for _ in range(int(read_field("config")[1]))]
     model = build_model(config_lines)
-    for want in _model_lines(model):
+    for want in model_lines(model, model.input_shape, model.dtype):
         line = read_line()
         if line != want:
             raise CheckpointMismatchError(f"{path}:{lineno}: {line!r} is not {want!r}, "

@@ -197,14 +197,14 @@ class TestEval:
         data = tmp_path / "no_trials"
         shutil.copytree(tiny_dataset_dir, data)
         shutil.rmtree(data / "trials")
-        for override, shape in [({"image_width": 20}, (36, 20, 3)),
-                                ({"target_frames": 80}, (60, 16, 3))]:
+        for override, shape in [({"image_width": 20}, "input_shape 36 20 3"),
+                                ({"target_frames": 80}, "input_shape 60 16 3")]:
             path = tmp_path / "override.txt"
             path.write_text("\n".join(replace(tiny_config, **override).to_lines()) + "\n")
             rc = run(["eval", "--model", str(trained), "--data", str(data), "--config", str(path)])
             assert rc == cli.EXIT_MISMATCH
             err = capsys.readouterr().err
-            assert "override.txt" in err and str((45, 16, 3)) in err and str(shape) in err
+            assert "override.txt" in err and "input_shape 45 16 3" in err and shape in err
 
     def test_truncated_checkpoint_exit_5(self, trained, tiny_dataset_dir, tmp_path, capsys):
         cut = tmp_path / "cut.ckpt"
@@ -430,6 +430,8 @@ class TestBadInputs:
          ["bad.txt", "dense units=17 activation=relu", "dense units=16 activation=relu"]),
         ("eval", _config(dtype="float64"), cli.EXIT_MISMATCH,
          ["bad.txt", "dtype float64", "dtype float32"]),
+        ("eval", _config(model_preset="mlp"), cli.EXIT_MISMATCH,
+         ["bad.txt", "'layers 4'", "'layers 16'"]),
         ("train", _config(batch_size=0), cli.EXIT_CONFIG, ["bad.txt", "batch_size"]),
         ("train", _config(learning_rate="nan"), cli.EXIT_CONFIG, ["bad.txt", "learning_rate"]),
         ("train", _config(filter_low_hz="nan"), cli.EXIT_CONFIG, ["bad.txt", "filter_low_hz"]),
@@ -466,7 +468,8 @@ class TestBadInputs:
             "pools", "cut-trial", "bare-version", "config-count", "dtype", "non-utf8-header",
             "tensor-dims", "weight-past-float32", "nan-weight", "config-comment-flip",
             "config-dense-units", "spec-dropout-rate", "eval-override-model",
-            "eval-override-dtype", "batch-size", "learning-rate-nan", "filter-low-nan",
+            "eval-override-dtype", "eval-override-preset", "batch-size", "learning-rate-nan",
+            "filter-low-nan",
             "dense-units", "conv-filters", "l2-inf", "min-delta-nan", "seed",
             "train-all-train", "train-all-test", "tune-all-train", "tune-all-test",
             "trial-is-directory", "non-utf8-trial", "non-utf8-manifest", "non-utf8-config",

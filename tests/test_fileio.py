@@ -3,10 +3,14 @@ files left behind, and manifests whose quoted fields read back."""
 
 import os
 import stat
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from liftrisk import cli, fileio, synthdata, trainer
+from liftrisk import cli, fileio, synthdata, trainer, workers
+from liftrisk.errors import OutputPathError
 from liftrisk.synthdata import Manifest, ManifestEntry, load_manifest
 
 
@@ -32,13 +36,15 @@ def _replace_raises(path, monkeypatch):
 
 
 class TestWholeOrNone:
-    @pytest.mark.parametrize("fail", [_rows_raise, _write_raises, _replace_raises],
+    @pytest.mark.parametrize("fail, error", [(_rows_raise, RuntimeError),
+                                             (_write_raises, TypeError),
+                                             (_replace_raises, OutputPathError)],
                              ids=["rows", "write", "replace"])
-    def test_failed_write_keeps_the_previous_file(self, tmp_path, monkeypatch, fail):
+    def test_failed_write_keeps_the_previous_file(self, tmp_path, monkeypatch, fail, error):
         path = tmp_path / "out.csv"
         fileio.write_file(path, "old contents\n")
         before = path.read_bytes()
-        with pytest.raises((RuntimeError, TypeError, OSError)):
+        with pytest.raises(error):
             fail(path, monkeypatch)
         assert path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv"]
@@ -86,6 +92,50 @@ class TestCommandOutputs:
         assert len(written) > 12 + 2 + 4 + 1 + 3
         assert not [p for p in written if p.name.startswith(".") or p.suffix == ".tmp"]
         assert {stat.S_IMODE(p.stat().st_mode) for p in written} == {umask_027}
+
+
+# runs cli.main(argv[2:]) under a file-size limit of argv[1] bytes, set in
+# that process alone; with SIGXFSZ ignored, a write past it fails with EFBIG
+FSIZE_LIMITED = """
+import resource, signal, sys
+from liftrisk import cli
+signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+resource.setrlimit(resource.RLIMIT_FSIZE,
+                   (int(sys.argv[1]), resource.getrlimit(resource.RLIMIT_FSIZE)[1]))
+sys.exit(cli.main(sys.argv[2:]))
+"""
+
+
+class TestFailedWrites:
+    """An OSError while writing an output is an OutputPathError (exit 2)
+    naming the path and the system's reason, with no temporary file left."""
+
+    def test_comes_back_from_a_worker_with_its_type_and_message(self, tmp_path):
+        # each worker's mkdir fails below a regular file
+        (tmp_path / "blocker").write_text("a file, not a directory\n")
+        paths = [tmp_path / "blocker" / "sub" / f"{i}.csv" for i in range(3)]
+        with pytest.raises(OutputPathError) as exc:
+            workers.map_in_workers(lambda i: fileio.write_file(paths[i], "x\n"), 3, 1)
+        assert type(exc.value) is OutputPathError
+        assert str(exc.value) == f"cannot write output {paths[0]}: Not a directory"
+        assert isinstance(exc.value.__cause__, NotADirectoryError)
+
+    @pytest.mark.parametrize("command", ["synth", "train"])
+    def test_file_size_limit_exit_2(self, tiny_dataset_dir, tiny_config_file, tmp_path, command):
+        # a desk trial file passes 100 kB, and the tiny checkpoint 1 kB
+        out = tmp_path / "out"
+        limit, argv = {"synth": (100 << 10, ["synth", "--profile", "desk", "--out", out / "data"]),
+                       "train": (1 << 10, ["train", "--data", tiny_dataset_dir, "--config",
+                                           tiny_config_file, "--out", out / "model.ckpt"])}[command]
+        src = Path(cli.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
+        done = subprocess.run([sys.executable, "-c", FSIZE_LIMITED, str(limit), *map(str, argv)],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == cli.EXIT_CONFIG, done.stderr
+        assert "Traceback" not in done.stderr
+        assert "cannot write output" in done.stderr and "File too large" in done.stderr
+        assert str(out) in done.stderr
+        assert not [p for p in out.rglob("*") if p.suffix == ".tmp"]
 
 
 class TestManifestQuoting:

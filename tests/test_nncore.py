@@ -711,9 +711,9 @@ class TestBackwardFlags:
             dout, _ = layer.backward(dout, cache)
 
     def test_positional_only_backward_wrapper(self, monkeypatch):
-        # the benchmark's traced run replaces every layer class's backward
-        # with wrapper(layer, *args); training and saliency must pass their
-        # flags through it, and layer 0's backward must still run
+        # the benchmark's traced run replaces every layer class's forward and
+        # backward with wrapper(layer, *args); training and saliency must pass
+        # their flags through it, and layer 0's backward must still run
         rng = np.random.default_rng(55)
         images = rng.normal(size=(10, 13, 11, 3))
         labels = np.arange(10) % 3
@@ -724,21 +724,55 @@ class TestBackwardFlags:
 
         called = []
 
-        def positional_only(fn):
+        def positional_only(fn, kind):
             def wrapper(layer, *args):
-                called.append(layer)
+                called.append((kind, layer))
                 return fn(layer, *args)
             return wrapper
 
         for cls in (Conv2D, AvgPool, MaxPool, Dropout, Flatten, Dense, BatchNorm, SoftmaxOutput):
-            monkeypatch.setattr(cls, "backward", positional_only(cls.backward))
+            for kind in ("forward", "backward"):
+                monkeypatch.setattr(cls, kind, positional_only(getattr(cls, kind), kind))
         wrapped = small_preset("vgg_b_avg")
         history = train(wrapped, images, labels, config)
-        assert any(layer is wrapped.layers[0] for layer in called)
+        assert ("forward", wrapped.layers[0]) in called
+        assert ("backward", wrapped.layers[0]) in called
         assert history.losses == plain_history.losses
         for a, b in zip(wrapped.snapshot(), plain.snapshot()):
             assert np.array_equal(a, b)
+        called.clear()
         assert np.array_equal(wrapped.logit_input_gradient(images[:2], 2), plain_map)
+        # one call per layer each way: no layer's method runs another wrapped one
+        assert called == ([("forward", layer) for layer in wrapped.layers]
+                          + [("backward", layer) for layer in reversed(wrapped.layers)])
+
+
+class TestSaliencyPass:
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_unbuilt_model_raises_as_forward_does(self, name):
+        model = build_preset(name, classes=3, conv_filters=(4, 4, 8), dense_units=8,
+                             dropout_rate=0.25, l2_lambda=1e-3)
+        x = np.zeros((1, 13, 11, 3))
+        for call in (lambda: model.forward(x), lambda: model.logit_input_gradient(x, 0)):
+            with pytest.raises(RuntimeError, match="model is not built"):
+                call()
+
+    def test_runs_neither_forward_nor_backward(self, monkeypatch):
+        # a saliency map is not a training step: the benchmark times the
+        # steps through Model.forward and Model.backward
+        model = small_preset("vgg_b_avg")
+        x = np.random.default_rng(56).normal(size=(2, 13, 11, 3))
+        model.forward(x, train=True, rng=np.random.default_rng(57))
+        caches = model._train_caches
+        want = model.logit_input_gradient(x, 1)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("Model.forward or Model.backward was called")
+
+        monkeypatch.setattr(Model, "forward", refuse)
+        monkeypatch.setattr(Model, "backward", refuse)
+        assert np.array_equal(model.logit_input_gradient(x, 1), want)
+        assert model._train_caches is caches  # the train-mode caches are left alone
 
 
 class TestInferenceCaches:

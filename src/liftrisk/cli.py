@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import hypertune, metrics, pipeline, saliency, signals, synthdata, trainer
 from .config import PipelineConfig, desk_config, load_config, parse_kv_lines
-from .errors import (CheckpointMismatchError, ConfigError, DataError,
+from .errors import (CheckpointMismatchError, ConfigError, DataError, OutputPathError,
                      TrainingDivergedError)
 from .fileio import check_writable, lines_text, write_file
 from .imaging import image_shape
@@ -95,9 +95,13 @@ def cmd_synth(args) -> int:
         profile = synthdata.DatasetProfile(seed=args.seed)
         config = PipelineConfig(seed=args.seed)
     trials, manifest = synthdata.generate_dataset(profile)
-    synthdata.save_dataset(out, trials, manifest)
     generated = f"generated by liftrisk synth --profile {args.profile} --seed {args.seed}"
-    write_file(out / "pipeline_config.txt", lines_text(config.to_lines(), [generated]))
+    try:
+        synthdata.save_dataset(out, trials, manifest)
+        write_file(out / "pipeline_config.txt", lines_text(config.to_lines(), [generated]))
+    except OutputPathError as exc:
+        raise OutputPathError(f"{exc}; the dataset under {out} is incomplete "
+                              f"(rerun with --force to overwrite it)") from exc
     counts = profile.class_counts()
     print(f"wrote {len(trials)} trials to {out} "
           f"(low={counts['low']}, medium={counts['medium']}, high={counts['high']})")

@@ -4,7 +4,7 @@ used by the classifier and its comparison models.
 Layers operate on batched arrays [N, H, W, C] (or [N, features] after
 Flatten) and return functional caches: a layer's backward reads only the
 cache it is given.  The one state a Model keeps between calls is the caches
-of its last train-mode forward, which its backward reads.  Convolutions are
+of its last train-mode forward, which its backward consumes.  Convolutions are
 3x3, stride 1, zero same-padding with ReLU; pooling is 2x2 stride 2 with
 floor semantics.  All parameter updates happen outside this module (see
 trainer).
@@ -470,7 +470,8 @@ class Model:
 
     def forward(self, x: np.ndarray, train: bool = False,
                 rng: np.random.Generator | None = None) -> np.ndarray:
-        """Probabilities for a batch; train mode records caches for backward.
+        """Probabilities for a batch; train mode records caches for backward,
+        which consumes them.
 
         Every pass first drops the previous train-mode pass's caches, so two
         steps' caches are never held at once.  A conv layer's train cache is
@@ -486,13 +487,16 @@ class Model:
 
     def backward(self, onehot: np.ndarray) -> list[np.ndarray]:
         """Gradients of (mean cross-entropy + L2 on the output layer) for every
-        parameter, using the caches of the last train-mode forward.  The
-        first layer's input gradient is never computed."""
+        parameter, from the caches of the last train-mode forward.  This call
+        takes those caches over and drops each once its layer is done, so a
+        second backward needs a new train-mode forward.  The first layer's
+        input gradient is never computed."""
         if self._train_caches is None:
             raise RuntimeError("backward requires a preceding train-mode forward")
         n = onehot.shape[0]
         dlogits = (self._train_probs - onehot.astype(self.dtype)) / n
-        return self._backward_pass(dlogits, self._train_caches, False, True)[1]
+        caches, self._train_caches, self._train_probs = self._train_caches, None, None
+        return self._backward_pass(dlogits, caches, False, True)[1]
 
     def logit_input_gradient(self, x: np.ndarray, class_index: int) -> np.ndarray:
         """d(logit of class_index)/d(input) per sample, inference mode; no
@@ -525,13 +529,31 @@ class Model:
     def _backward_pass(self, dout: np.ndarray, caches: list, input_grad: bool,
                        param_grads: bool) -> tuple[np.ndarray | None, list[np.ndarray]]:
         """(input gradient if `input_grad`, else None; parameter gradients in
-        params() order if `param_grads`, else []) for `dout`, the logits' gradient."""
-        grads: list[np.ndarray] = []
+        params() order if `param_grads`, else []) for `dout`, the logits'
+        gradient.  Each entry of `caches` is set to None once its layer is done.
+
+        With `param_grads`, a layer whose parameters take more bytes than the
+        `dout` it receives (the hidden Dense and the SoftmaxOutput, at the desk
+        and paper shapes) gives only its input gradient in the loop, and forms
+        its parameter gradients after it, when no conv patch matrix is alive:
+        at the paper shape the hidden Dense's 121 MB weight gradient would
+        otherwise sit beside conv 4's weight-gradient patches (163 MB at batch
+        16), the step's peak.  The two calls run the GEMMs of one call, on the
+        same operands, so every gradient keeps its bits."""
+        grads: list[list[np.ndarray] | None] = [[] for _ in self.layers]
+        deferred = []
         for i in range(len(self.layers) - 1, -1, -1):
-            dout, g = self.layers[i].backward(dout, caches[i], input_grad or i > 0, param_grads)
-            if param_grads:
-                grads[:0] = g  # layers run last to first
-        return dout, grads
+            layer = self.layers[i]
+            if param_grads and sum(p.nbytes for p in layer.params()) > dout.nbytes:
+                deferred.append((i, dout))
+                dout = layer.backward(dout, caches[i], input_grad or i > 0, False)[0]
+                continue
+            dout, grads[i] = layer.backward(dout, caches[i], input_grad or i > 0, param_grads)
+            caches[i] = None
+        for i, layer_dout in deferred:
+            grads[i] = self.layers[i].backward(layer_dout, caches[i], False, True)[1]
+            caches[i] = None
+        return dout, ([g for layer_grads in grads for g in layer_grads] if param_grads else [])
 
     def snapshot(self) -> list[np.ndarray]:
         return [a.copy() for _, a in _layer_tensors(self)]

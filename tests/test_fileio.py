@@ -135,6 +135,9 @@ class TestFailedWrites:
         assert "Traceback" not in done.stderr
         assert "cannot write output" in done.stderr and "File too large" in done.stderr
         assert str(out) in done.stderr
+        if command == "synth":
+            assert (f"the dataset under {out / 'data'} is incomplete "
+                    f"(rerun with --force to overwrite it)") in done.stderr
         assert not [p for p in out.rglob("*") if p.suffix == ".tmp"]
 
 

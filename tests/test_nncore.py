@@ -378,6 +378,12 @@ class TestModelGradients:
         model.forward(np.zeros((2, 4)), train=False)
         with pytest.raises(RuntimeError):
             model.backward(np.eye(3)[:2])
+        # backward consumes the caches of the train-mode forward before it
+        model.forward(np.zeros((2, 4)), train=True)
+        model.backward(np.eye(3)[:2])
+        assert model._train_caches is None
+        with pytest.raises(RuntimeError):
+            model.backward(np.eye(3)[:2])
 
     def test_end_to_end_desk_scale(self):
         """Full stack at reduced size, dropout 0, vs central differences.
@@ -454,6 +460,13 @@ def small_preset(name, dtype=np.float64):
     """A preset at toy size on odd image sides, so pooling drops a row and a column."""
     return build_preset(name, classes=3, conv_filters=(4, 4, 8), dense_units=8,
                         dropout_rate=0.25, l2_lambda=1e-3).build((13, 11, 3), seed=5,
+                                                                 dtype=dtype)
+
+
+def desk_preset(name, dtype=np.float32):
+    """A preset at the desk sizes (55x55x3, filters 8/16/32, dense 128)."""
+    return build_preset(name, classes=3, conv_filters=(8, 16, 32), dense_units=128,
+                        dropout_rate=0.25, l2_lambda=1e-3).build((55, 55, 3), seed=5,
                                                                  dtype=dtype)
 
 
@@ -657,12 +670,10 @@ class TestPatchBlocks:
 class TestBackwardFlags:
     """Skipping unread gradients leaves every gradient that is read bit-identical."""
 
-    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    @pytest.mark.parametrize("name", PRESET_NAMES)
-    def test_model_backward_matches_full_backward(self, name, dtype):
-        model = small_preset(name, dtype)
+    @staticmethod
+    def check_model_backward(model, dtype):
         rng = np.random.default_rng(50)
-        x = rng.normal(size=(4, 13, 11, 3)).astype(dtype)
+        x = rng.normal(size=(4, *model.input_shape)).astype(dtype)
         onehot = np.eye(3)[[0, 1, 2, 1]]
         model.forward(x, train=True, rng=np.random.default_rng(51))
         grads = model.backward(onehot)
@@ -672,6 +683,19 @@ class TestBackwardFlags:
         assert len(grads) == len(want) == len(model.params())
         for got, ref in zip(grads, want):
             assert got.dtype == ref.dtype and np.array_equal(got, ref)
+
+    # at toy size some conv layers' parameters outweigh their upstream
+    # gradient too, so Model.backward forms their gradients after its loop;
+    # at desk size only the dense layers' are
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_model_backward_matches_full_backward(self, name, dtype):
+        self.check_model_backward(small_preset(name, dtype), dtype)
+
+    @pytest.mark.parametrize("name, dtype", [("vgg_b_avg", np.float32), ("vgg_b_avg", np.float64),
+                                             ("simple_cnn", np.float32), ("mlp", np.float32)])
+    def test_model_backward_at_desk_size_matches_full_backward(self, name, dtype):
+        self.check_model_backward(desk_preset(name, dtype), dtype)
 
     @pytest.mark.parametrize("name", PRESET_NAMES)
     def test_logit_input_gradient_matches_full_backward(self, name):
@@ -745,6 +769,61 @@ class TestBackwardFlags:
         # one call per layer each way: no layer's method runs another wrapped one
         assert called == ([("forward", layer) for layer in wrapped.layers]
                           + [("backward", layer) for layer in reversed(wrapped.layers)])
+
+
+class TestDeferredParameterGradients:
+    """Model.backward forms the parameter gradients of a layer whose
+    parameters outweigh its upstream gradient after the reverse loop, when no
+    conv patch matrix is alive, and drops each layer's cache once used."""
+
+    def test_order_patches_and_caches(self, monkeypatch):
+        import weakref
+
+        from liftrisk import nncore
+
+        model = desk_preset("vgg_b_avg")
+        layers = model.layers
+        rng = np.random.default_rng(58)
+        model.forward(rng.normal(size=(4, 55, 55, 3)).astype(np.float32), train=True, rng=rng)
+        # the last array of each cache, which only the cache holds (a pool's
+        # or Flatten's cache is a shape)
+        owned = {i: weakref.ref([a for a in (c if isinstance(c, tuple) else (c,))
+                                 if isinstance(a, np.ndarray)][-1])
+                 for i, c in enumerate(model._train_caches)
+                 if not isinstance(layers[i], (AvgPool, Flatten))}
+        patches, calls = [], []
+
+        def recording_im2col(x):
+            cols = im2col(x)
+            patches.append(weakref.ref(cols))
+            return cols
+
+        def recording_backward(fn):
+            def backward(layer, dout, cache, need_dx, need_grads):
+                i = next(k for k, l in enumerate(layers) if l is layer)
+                calls.append((i, need_dx, need_grads,
+                              any(ref() is not None for ref in patches),
+                              sorted(k for k, ref in owned.items() if ref() is not None)))
+                return fn(layer, dout, cache, need_dx, need_grads)
+            return backward
+
+        im2col = nncore._im2col
+        monkeypatch.setattr(nncore, "_im2col", recording_im2col)
+        for cls in (Conv2D, AvgPool, Dropout, Flatten, Dense, BatchNorm, SoftmaxOutput):
+            monkeypatch.setattr(cls, "backward", recording_backward(cls.backward))
+        model.backward(np.eye(3)[[0, 1, 2, 0]])
+
+        dense, last = 12, len(layers) - 1
+        assert [c[:3] for c in calls] == (
+            [(i, i > 0, i not in (dense, last)) for i in range(last, -1, -1)]
+            + [(last, False, True), (dense, False, True)])
+        assert patches and not any(c[3] for c in calls)
+        # in the loop, each layer after the running one has dropped its cache,
+        # apart from the two whose gradients wait
+        for i, _, _, _, alive in calls[:-2]:
+            assert alive == sorted({k for k in owned if k <= i} | {dense, last})
+        assert [c[4] for c in calls[-2:]] == [[dense, last], [dense]]
+        assert all(ref() is None for ref in owned.values())
 
 
 class TestSaliencyPass:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections import Counter
 from pathlib import Path
 
 from . import hypertune, metrics, pipeline, saliency, signals, synthdata, trainer
@@ -102,7 +103,7 @@ def cmd_synth(args) -> int:
     except OutputPathError as exc:
         raise OutputPathError(f"{exc}; the dataset under {out} is incomplete "
                               f"(rerun with --force to overwrite it)") from exc
-    counts = profile.class_counts()
+    counts = Counter(synthdata.zone_to_risk(e.zone) for e in manifest.entries)
     print(f"wrote {len(trials)} trials to {out} "
           f"(low={counts['low']}, medium={counts['medium']}, high={counts['high']})")
     return 0

@@ -79,15 +79,21 @@ def conv2d_batch(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out.reshape(n, h, wd, cout)
 
 
+def _windows(x: np.ndarray) -> list[np.ndarray]:
+    """The four cells of every 2x2 stride-2 window, each an [N, H//2, W//2, C]
+    strided view of x, in row-major window order; an odd last row or column
+    is in none of them."""
+    h2, w2 = x.shape[1] // 2, x.shape[2] // 2
+    return [x[:, i: 2 * h2: 2, j: 2 * w2: 2] for i in (0, 1) for j in (0, 1)]
+
+
 def avgpool_batch(x: np.ndarray) -> np.ndarray:
     """2x2 window means: the window's four cells added in row-major order,
     one at a time, then divided by 4."""
-    n, h, w, c = x.shape
-    h2, w2 = h // 2, w // 2
-    top, bottom = x[:, 0: 2 * h2: 2], x[:, 1: 2 * h2: 2]
-    out = top[:, :, 0: 2 * w2: 2] + top[:, :, 1: 2 * w2: 2]
-    out += bottom[:, :, 0: 2 * w2: 2]
-    out += bottom[:, :, 1: 2 * w2: 2]
+    first, second, third, fourth = _windows(x)
+    out = first + second
+    out += third
+    out += fourth
     out /= 4
     return out
 
@@ -96,10 +102,7 @@ def maxpool_batch(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Returns (pooled, argmax) with argmax in 0..3 row-major within each
     2x2 window; np.argmax takes the first maximum, giving the deterministic
     first-index tie-break."""
-    n, h, w, c = x.shape
-    h2, w2 = h // 2, w // 2
-    v = x[:, : 2 * h2, : 2 * w2, :].reshape(n, h2, 2, w2, 2, c)
-    v = v.transpose(0, 1, 3, 2, 4, 5).reshape(n, h2, w2, 4, c)
+    v = np.stack(_windows(x), axis=3)
     arg = v.argmax(axis=3)
     pooled = np.take_along_axis(v, arg[:, :, :, None, :], axis=3)[:, :, :, 0, :]
     return pooled, arg
@@ -218,17 +221,13 @@ class AvgPool(Layer):
     def backward(self, dout, cache, need_dx=True, need_grads=True):
         if not need_dx:
             return None, []
-        x_shape = cache
-        n, h, w, c = x_shape
-        h2, w2 = h // 2, w // 2
-        dx = np.zeros(x_shape, dtype=dout.dtype)
+        dx = np.zeros(cache, dtype=dout.dtype)
         # each source cell of a window receives 1/4 of the gradient, written
         # through strided views of dx: a reshape of the trimmed slice that
         # merges axes is a copy when H or W is odd, and would drop the writes
         quarter = dout * 0.25
-        for i in (0, 1):
-            for j in (0, 1):
-                dx[:, i: 2 * h2: 2, j: 2 * w2: 2, :] = quarter
+        for cells in _windows(dx):
+            cells[...] = quarter
         return dx, []
 
     def spec_line(self):
@@ -247,13 +246,9 @@ class MaxPool(Layer):
         if not need_dx:
             return None, []
         arg, x_shape = cache
-        n, h, w, c = x_shape
-        h2, w2 = h // 2, w // 2
-        scatter = np.zeros((n, h2, w2, 4, c), dtype=dout.dtype)
-        np.put_along_axis(scatter, arg[:, :, :, None, :], dout[:, :, :, None, :], axis=3)
-        v = scatter.reshape(n, h2, w2, 2, 2, c).transpose(0, 1, 3, 2, 4, 5)
         dx = np.zeros(x_shape, dtype=dout.dtype)
-        dx[:, : 2 * h2, : 2 * w2, :] = v.reshape(n, 2 * h2, 2 * w2, c)
+        for k, cells in enumerate(_windows(dx)):
+            cells[...] = np.where(arg == k, dout, 0)
         return dx, []
 
     def spec_line(self):

@@ -3,7 +3,9 @@ normalization, and per-channel amplitude scaling.
 
 The bandpass is designed analytically (analog Butterworth prototype, lowpass
 to bandpass transform, bilinear transform with frequency pre-warping) and
-realized as a cascade of second-order sections for numerical stability.
+realized as a cascade of second-order sections for numerical stability: a
+float64 [order, 6] array, one (b0, b1, b2, 1, a1, a2) row per section as in
+scipy.signal's SOS layout, the gain split evenly across its rows.
 Filtering is causal single-pass with zero initial state, so the same code
 path works on streamed samples.  A prepare's trials are one frame-major
 [frames, N, 36] array: filter_trial returns it, fit_scaler reads its training
@@ -59,27 +61,6 @@ class TrialRecording:
         return self.channels.shape[1]
 
 
-@dataclass
-class Section:
-    """Biquad coefficients, denominator normalized to a0 = 1."""
-
-    b0: float
-    b1: float
-    b2: float
-    a1: float
-    a2: float
-
-    def poles(self) -> tuple[complex, complex]:
-        disc = cmath.sqrt(self.a1 * self.a1 - 4.0 * self.a2)
-        return ((-self.a1 + disc) / 2.0, (-self.a1 - disc) / 2.0)
-
-
-@dataclass
-class BandpassFilter:
-    sample_rate_hz: float
-    sections: list[Section]
-
-
 def check_band(order: int, low_hz: float, high_hz: float, sample_rate_hz: float) -> None:
     """Raise ValueError unless design_bandpass can design this band."""
     if order < 1:
@@ -93,8 +74,10 @@ def check_band(order: int, low_hz: float, high_hz: float, sample_rate_hz: float)
 
 
 def design_bandpass(order: int, low_hz: float, high_hz: float,
-                    sample_rate_hz: float) -> BandpassFilter:
-    """Design a digital Butterworth bandpass as cascaded biquads.
+                    sample_rate_hz: float) -> np.ndarray:
+    """Design a digital Butterworth bandpass as cascaded biquads: a float64
+    [order, 6] second-order-sections array, one (b0, b1, b2, 1, a1, a2) row
+    per section, the layout scipy.signal's sosfilt reads.
 
     Steps: place the analog lowpass prototype poles on the unit circle,
     map each through the lowpass-to-bandpass substitution
@@ -141,24 +124,21 @@ def design_bandpass(order: int, low_hz: float, high_hz: float,
     # on z=+1 and z=-1.
     digital_poles = [(1.0 + s) / (1.0 - s) for s in analog_poles]
 
-    sections = [Section(b0=1.0, b1=0.0, b2=-1.0, a1=a1, a2=a2)
-                for a1, a2 in _denominator_pairs(digital_poles)]
+    sos = np.array([(1.0, 0.0, -1.0, 1.0, a1, a2)
+                    for a1, a2 in _denominator_pairs(digital_poles)])
 
     # Normalize gain at the warped band center.
     w_center = 2.0 * math.atan(math.sqrt(w0sq))
     f_center = w_center * sample_rate_hz / (2.0 * math.pi)
-    raw_gain = abs(_response_at(sections, f_center, sample_rate_hz))
-    per_section = (1.0 / raw_gain) ** (1.0 / len(sections))
-    for s in sections:
-        s.b0 *= per_section
-        s.b1 *= per_section
-        s.b2 *= per_section
+    raw_gain = abs(frequency_response(sos, f_center, sample_rate_hz))
+    per_section = (1.0 / raw_gain) ** (1.0 / len(sos))
+    sos[:, :3] *= per_section
 
-    f = BandpassFilter(sample_rate_hz=sample_rate_hz, sections=sections)
-    for s in f.sections:
-        if any(abs(p) >= 1.0 for p in s.poles()):
+    for a1, a2 in sos[:, 4:].tolist():
+        disc = cmath.sqrt(a1 * a1 - 4.0 * a2)
+        if any(abs(p) >= 1.0 for p in ((-a1 + disc) / 2.0, (-a1 - disc) / 2.0)):
             raise ValueError("designed filter is unstable (pole on or outside unit circle)")
-    return f
+    return sos
 
 
 def _denominator_pairs(poles: list[complex]) -> list[tuple[float, float]]:
@@ -181,32 +161,28 @@ def _denominator_pairs(poles: list[complex]) -> list[tuple[float, float]]:
     return pairs
 
 
-def _response_at(sections: list[Section], freq_hz: float, sample_rate_hz: float) -> complex:
+def frequency_response(sos: np.ndarray, freq_hz: float, sample_rate_hz: float) -> complex:
+    """H(e^{j*2*pi*f/fs}) evaluated from the section coefficients in Python
+    complex arithmetic; the design's gain normalization reads it too."""
     z = cmath.exp(1j * 2.0 * math.pi * freq_hz / sample_rate_hz)
     zi = 1.0 / z
     h = complex(1.0, 0.0)
-    for s in sections:
-        h *= (s.b0 + s.b1 * zi + s.b2 * zi * zi) / (1.0 + s.a1 * zi + s.a2 * zi * zi)
+    for b0, b1, b2, _, a1, a2 in sos.tolist():
+        h *= (b0 + b1 * zi + b2 * zi * zi) / (1.0 + a1 * zi + a2 * zi * zi)
     return h
 
 
-def frequency_response(f: BandpassFilter, freq_hz: float) -> complex:
-    """H(e^{j*2*pi*f/fs}) evaluated from the section coefficients.
-    Kept as the reference that tests check the designed band against."""
-    return _response_at(f.sections, freq_hz, f.sample_rate_hz)
-
-
-def filter_channel(x, f: BandpassFilter) -> np.ndarray:
+def filter_channel(x, sos: np.ndarray) -> np.ndarray:
     """Causal single-pass filtering, direct form II transposed per section.
     The input is copied, never overwritten.  Kept as the one-channel
     reference that tests check the batched filter_trial against."""
     y = np.array(x, dtype=np.float64)
     if y.size == 0:
         raise ValueError("input sequence must be non-empty")
-    return _df2t_cascade(y[:, None], f)[:, 0]
+    return _df2t_cascade(y[:, None], sos)[:, 0]
 
 
-def _df2t_cascade(y: np.ndarray, f: BandpassFilter) -> np.ndarray:
+def _df2t_cascade(y: np.ndarray, sos: np.ndarray) -> np.ndarray:
     """DF2T evaluation of every section in cascade over a float64
     [frames, rows] array, in place, rows filtered in parallel.
 
@@ -215,8 +191,7 @@ def _df2t_cascade(y: np.ndarray, f: BandpassFilter) -> np.ndarray:
     arithmetic to the scalar recursion.
     """
     n_frames, n_rows = y.shape
-    for s in f.sections:
-        b0, b1, b2, a1, a2 = s.b0, s.b1, s.b2, s.a1, s.a2
+    for b0, b1, b2, _, a1, a2 in sos.tolist():
         s1 = np.zeros(n_rows)
         s2 = np.zeros(n_rows)
         for n in range(n_frames):
@@ -228,7 +203,7 @@ def _df2t_cascade(y: np.ndarray, f: BandpassFilter) -> np.ndarray:
     return y
 
 
-def filter_trial(trials: list[TrialRecording], f: BandpassFilter,
+def filter_trial(trials: list[TrialRecording], sos: np.ndarray,
                  target_frames: int) -> np.ndarray:
     """Bandpass every trial in one sweep and pad or cut it to
     ``target_frames``: [target_frames, N, 36] float64, trial i's filtered
@@ -243,7 +218,7 @@ def filter_trial(trials: list[TrialRecording], f: BandpassFilter,
     out = np.zeros((target_frames, len(trials), N_CHANNELS))
     for i, t in enumerate(trials):
         out[:t.n_frames, i] = t.channels[:, :target_frames].T
-    _df2t_cascade(out[:frames].reshape(frames, len(trials) * N_CHANNELS), f)
+    _df2t_cascade(out[:frames].reshape(frames, len(trials) * N_CHANNELS), sos)
     # the filter rings into a shorter trial's zero padding
     for i, t in enumerate(trials):
         out[t.n_frames:, i] = 0.0

@@ -65,13 +65,6 @@ class DatasetProfile:
     duration_high_s: float = 15.0
     seed: int = 42
 
-    def class_counts(self) -> dict[str, int]:
-        per_zone = self.n_subjects * self.trials_per_zone_per_subject
-        counts = dict.fromkeys(RISK_CLASSES, 0)
-        for risk in ZONE_RISK.values():
-            counts[risk] += per_zone
-        return counts
-
 
 def desk_profile(seed: int = 42) -> DatasetProfile:
     """Short-trial profile for fast runs: every lift fits in 250 frames."""

@@ -110,3 +110,23 @@ def test_prepare_calls_each_timed_stage(tiny_dataset_dir, tiny_config, monkeypat
     assert len(filtered) == len(trials) and all(a is b for a, b in zip(filtered, trials))
     for name in ("fit_scaler", "apply_scaler", "to_channel_matrix", "wrap_image"):
         assert len(calls[name]) == 1, name
+
+
+def test_traced_counters_read_real_results(tiny_dataset_dir, tiny_config):
+    # a traced run calls these hooks on what liftrisk returns; each reads
+    # attributes (a trial's n_frames, a model's layers) that no name check sees
+    probe = PROBE.Probe(traced=True)
+    probe.phase = "timed"
+    loaded = synthdata.load_dataset(tiny_dataset_dir)
+    trials, manifest = loaded
+    probe._count_rows((tiny_dataset_dir,), {}, loaded, 0.0)
+    assert probe.counts["timed:synthdata.rows"] == sum(e.frame_count for e in manifest.entries)
+
+    prepared = pipeline.prepare(trials, manifest, tiny_config)
+    probe._count_trials((trials, manifest, tiny_config), {}, prepared, 0.0)
+    assert probe.counts["timed:pipeline.trials_prepared"] == len(manifest.entries) == 36
+
+    model = pipeline.build_model(tiny_config, prepared.images.shape[1:])
+    probe._register_layers((model, prepared.images.shape[1:]), {}, model, 0.0)
+    assert len(model.layers) <= PROBE.N_LAYER_SLOTS
+    assert [probe._layer_index[layer] for layer in model.layers] == list(range(len(model.layers)))

@@ -42,9 +42,11 @@ def trained(trained_run, tmp_path):
 
 
 class TestSynth:
-    def test_writes_default_dataset(self, tmp_path):
+    def test_writes_default_dataset(self, tmp_path, capsys):
         out = tmp_path / "data"
         assert run(["synth", "--out", str(out), "--seed", "3", "--profile", "desk"]) == 0
+        assert capsys.readouterr().out == (f"wrote 720 trials to {out} "
+                                           f"(low=120, medium=240, high=360)\n")
         assert (out / "manifest.csv").exists()
         assert (out / "pipeline_config.txt").exists()
         trials = list((out / "trials").glob("trial_*.csv"))

@@ -78,6 +78,26 @@ class TestConvForward:
             assert np.max(np.abs(conv_kernel(x, w, b) - conv_naive(x, w, b))) < 1e-10
 
 
+def maxpool_loop(x, dout):
+    """Max pooling by a loop over every window and channel, written
+    independently of the engine: (pooled, argmax 0..3 row-major in the
+    window, input gradient).  Python's max keeps the first of equal cells."""
+    n, h, w, c = x.shape
+    pooled = np.zeros((n, h // 2, w // 2, c), dtype=x.dtype)
+    arg = np.zeros(pooled.shape, dtype=np.intp)
+    dx = np.zeros(x.shape, dtype=dout.dtype)
+    for b in range(n):
+        for i in range(h // 2):
+            for j in range(w // 2):
+                for ch in range(c):
+                    cells = [x[b, 2 * i + a, 2 * j + bb, ch] for a in (0, 1) for bb in (0, 1)]
+                    k = max(range(4), key=cells.__getitem__)
+                    pooled[b, i, j, ch] = cells[k]
+                    arg[b, i, j, ch] = k
+                    dx[b, 2 * i + k // 2, 2 * j + k % 2, ch] = dout[b, i, j, ch]
+    return pooled, arg, dx
+
+
 class TestPooling:
     def test_avg_single_window(self):
         x = np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(1, 2, 2, 1)
@@ -107,6 +127,25 @@ class TestPooling:
     def test_rejects_tiny_input(self):
         with pytest.raises(ValueError):
             AvgPool().build((1, 5, 1), np.random.default_rng(0), np.float64)
+
+    @pytest.mark.parametrize("shape", [(2, 5, 7, 3), (1, 7, 7, 2), (3, 6, 9, 1), (2, 4, 4, 4)])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_max_matches_window_loop(self, shape, dtype):
+        # cells from {-1, -0, 0, 1}, so most windows hold a tie
+        rng = np.random.default_rng(13)
+        x = rng.choice([-1.0, -0.0, 0.0, 1.0], size=shape).astype(dtype)
+        layer = MaxPool()
+        layer.build(shape[1:], rng, dtype)
+        pooled, cache = layer.forward(x, True, None)
+        dout = rng.normal(size=pooled.shape).astype(dtype)
+        dx, grads = layer.backward(dout, cache)
+        want_pooled, want_arg, want_dx = maxpool_loop(x, dout)
+        arg = cache[0]
+        assert pooled.dtype == dx.dtype == dtype and arg.dtype == want_arg.dtype
+        assert pooled.shape == want_pooled.shape and dx.shape == want_dx.shape
+        assert pooled.tobytes() == want_pooled.tobytes()
+        assert arg.tobytes() == want_arg.tobytes()
+        assert dx.tobytes() == want_dx.tobytes() and grads == []
 
     @pytest.mark.parametrize("shape", [(2, 5, 7, 3), (2, 6, 6, 2), (1, 7, 4, 2), (3, 9, 8, 5),
                                        (2, 4, 11, 3), (2, 95, 95, 8), (1, 47, 47, 64)])

@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 from scipy import signal as sp_signal
 
 from liftrisk import signals
-from liftrisk.signals import (BandpassFilter, TrialRecording, apply_scaler,
-                              design_bandpass, filter_channel, fit_scaler,
-                              frequency_response, pad_or_truncate)
+from liftrisk.signals import (TrialRecording, apply_scaler, design_bandpass,
+                              filter_channel, fit_scaler, frequency_response,
+                              pad_or_truncate)
 
 
 def make_trial(channels):
@@ -33,17 +33,17 @@ def scaled(t, s):
     return make_trial(apply_scaler(t.channels.T.copy(), s).T)
 
 
-def naive_difference_equation(x, f: BandpassFilter):
+def naive_difference_equation(x, sos):
     """Direct recursive evaluation of each section's difference equation."""
     y = np.asarray(x, dtype=float)
-    for s in f.sections:
+    for b0, b1, b2, _, a1, a2 in sos:
         out = np.zeros_like(y)
         for n in range(len(y)):
-            acc = s.b0 * y[n]
+            acc = b0 * y[n]
             if n >= 1:
-                acc += s.b1 * y[n - 1] - s.a1 * out[n - 1]
+                acc += b1 * y[n - 1] - a1 * out[n - 1]
             if n >= 2:
-                acc += s.b2 * y[n - 2] - s.a2 * out[n - 2]
+                acc += b2 * y[n - 2] - a2 * out[n - 2]
             out[n] = acc
         y = out
     return y
@@ -57,38 +57,38 @@ class TestDesign:
             f = design_bandpass(order, lo, hi, fs)
             sos = sp_signal.butter(order, [lo, hi], btype="bandpass", fs=fs, output="sos")
             freqs = np.linspace(0.01, fs / 2 * 0.999, 300)
-            ours = np.array([abs(frequency_response(f, fr)) for fr in freqs])
+            ours = np.array([abs(frequency_response(f, fr, fs)) for fr in freqs])
             w, h = sp_signal.sosfreqz(sos, worN=2 * np.pi * freqs / fs, fs=2 * np.pi)
             assert np.max(np.abs(ours - np.abs(h))) < 1e-9
 
     def test_stopband_attenuation_at_0_2_hz(self):
         f = design_bandpass(2, 2, 12, 25)
-        peak = max(abs(frequency_response(f, fr)) for fr in np.linspace(2, 12, 400))
-        gain_db = 20 * np.log10(abs(frequency_response(f, 0.2)) / peak)
+        peak = max(abs(frequency_response(f, fr, 25)) for fr in np.linspace(2, 12, 400))
+        gain_db = 20 * np.log10(abs(frequency_response(f, 0.2, 25)) / peak)
         assert gain_db < -20.0
 
     def test_geometric_mean_frequency_near_peak(self):
         f = design_bandpass(2, 2, 12, 25)
-        band = [abs(frequency_response(f, fr)) for fr in np.linspace(2, 12, 400)]
+        band = [abs(frequency_response(f, fr, 25)) for fr in np.linspace(2, 12, 400)]
         peak_db = 20 * np.log10(max(band))
-        gm_db = 20 * np.log10(abs(frequency_response(f, np.sqrt(2 * 12))))
+        gm_db = 20 * np.log10(abs(frequency_response(f, np.sqrt(2 * 12), 25)))
         assert peak_db - gm_db < 1.0
 
     def test_bandpass_shape(self):
         f = design_bandpass(2, 2, 12, 25)
-        peak = max(abs(frequency_response(f, fr)) for fr in np.linspace(2, 12, 400))
-        assert abs(frequency_response(f, 0.2)) < 0.1 * peak
-        assert abs(frequency_response(f, 12.4)) < 0.1 * peak
+        peak = max(abs(frequency_response(f, fr, 25)) for fr in np.linspace(2, 12, 400))
+        assert abs(frequency_response(f, 0.2, 25)) < 0.1 * peak
+        assert abs(frequency_response(f, 12.4, 25)) < 0.1 * peak
 
     def test_all_poles_stable(self):
         for order, lo, hi, fs in [(1, 2, 3, 1000), (2, 2, 12, 25), (5, 3, 20, 100)]:
             f = design_bandpass(order, lo, hi, fs)
-            for s in f.sections:
-                assert all(abs(p) < 1.0 for p in s.poles())
+            for row in f:
+                assert all(abs(p) < 1.0 for p in np.roots(row[3:]))
 
     def test_section_count_equals_order(self):
         for order in (1, 2, 3, 4):
-            assert len(design_bandpass(order, 2, 10, 60).sections) == order
+            assert len(design_bandpass(order, 2, 10, 60)) == order
 
     def test_rejects_bad_edges(self):
         with pytest.raises(ValueError):
@@ -103,8 +103,8 @@ class TestDesign:
     def test_clamps_high_edge_at_nyquist_with_warning(self):
         with pytest.warns(UserWarning, match=r"clamping to 12\.375 Hz"):
             f = design_bandpass(2, 2, 13, 25)
-        for s in f.sections:
-            assert all(abs(p) < 1.0 for p in s.poles())
+        for row in f:
+            assert all(abs(p) < 1.0 for p in np.roots(row[3:]))
 
 
 class TestFilterChannel:
@@ -118,7 +118,7 @@ class TestFilterChannel:
         y = filter_channel(np.ones(750), f)
         assert np.max(np.abs(y[-100:])) < 1e-3
         # H(1) = 0 exactly: DC is removed
-        assert abs(frequency_response(f, 0.0)) < 1e-15
+        assert abs(frequency_response(f, 0.0, 25)) < 1e-15
 
     def test_impulse_matches_difference_equation_oracle(self):
         f = design_bandpass(2, 2, 12, 25)
@@ -178,6 +178,24 @@ class TestFilterChannel:
         ft = make_trial(signals.filter_trial([t], f, t.n_frames)[:, 0].T)
         for c in range(36):
             assert np.array_equal(ft.channels[c], filter_channel(t.channels[c], f))
+
+
+class TestSosLayout:
+    """Our own design read by scipy as second-order sections: the row
+    layout is scipy's, so its filter and response match ours."""
+
+    @pytest.mark.parametrize("order, lo, hi, fs",
+                             [(1, 2, 3, 1000), (2, 2, 12, 25), (3, 1, 9, 50), (4, 2, 8, 40)])
+    def test_scipy_reads_design_as_sos(self, order, lo, hi, fs):
+        sos = design_bandpass(order, lo, hi, fs)
+        assert sos.dtype == np.float64 and sos.shape == (order, 6)
+        assert np.all(sos[:, 3] == 1.0)
+        x = np.random.default_rng(order).normal(size=500)
+        assert np.max(np.abs(filter_channel(x, sos) - sp_signal.sosfilt(sos, x))) < 1e-12
+        freqs = np.linspace(0.0, fs / 2, 300)
+        _, h = sp_signal.sosfreqz(sos, worN=2 * np.pi * freqs / fs, fs=2 * np.pi)
+        ours = np.array([frequency_response(sos, fr, fs) for fr in freqs])
+        assert np.max(np.abs(ours - h)) < 1e-12
 
 
 def per_trial_reference(trials, f, target_frames):

@@ -154,7 +154,7 @@ class Layer:
 
 def _glorot(rng: np.random.Generator, shape: tuple, fan_in: int, fan_out: int, dtype) -> np.ndarray:
     limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=shape).astype(dtype)
+    return rng.uniform(-limit, limit, size=shape).astype(dtype, copy=False)
 
 
 class Conv2D(Layer):

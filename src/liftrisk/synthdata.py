@@ -174,9 +174,13 @@ def _add_lift_events(channels: np.ndarray, rng: np.random.Generator,
     The first burst sits near lift start, the second near the return to
     upright; the gap between them widens (weakly) with risk class, and the
     burst positions jitter widely per trial.
+
+    Each burst draws its (frequency, phase, axis gain) for all 36 channels in
+    one call, channel by channel in C order, and is added only over the
+    frames its Hann window covers: outside them the window is 0.
     """
     amp = BASE_AMPLITUDE * subj_gain
-    gains = _sensor_gains(class_idx)
+    gains = np.repeat(amp * _sensor_gains(class_idx), N_AXES)
     t_first = duration * rng.uniform(0.12, 0.30) + subj_offset * 0.3
     gap = duration * (0.33 + 0.03 * class_idx + rng.uniform(-0.03, 0.03))
     centers = (t_first, t_first + gap)
@@ -184,17 +188,18 @@ def _add_lift_events(channels: np.ndarray, rng: np.random.Generator,
     t = np.arange(channels.shape[1]) / fs
     for center in centers:
         center = float(np.clip(center, half, duration - half))
-        window = np.clip((t - (center - half)) / BURST_SECONDS, 0.0, 1.0)
+        lo = np.searchsorted(t, center - half)
+        hi = np.searchsorted(t, center + half, side="right")
+        tb = t[lo:hi]
+        window = np.clip((tb - (center - half)) / BURST_SECONDS, 0.0, 1.0)
         hann = 0.5 - 0.5 * np.cos(2.0 * np.pi * window)
-        hann[(t < center - half) | (t > center + half)] = 0.0
-        for sensor in range(N_SENSORS):
-            for axis in range(N_AXES):
-                freq = rng.uniform(BURST_FREQ_LOW_HZ, BURST_FREQ_HIGH_HZ)
-                phase = rng.uniform(0.0, 2.0 * np.pi)
-                axis_gain = rng.uniform(0.6, 1.0)
-                channels[3 * sensor + axis] += (
-                    amp * gains[sensor] * axis_gain * hann * np.sin(2.0 * np.pi * freq * t + phase)
-                )
+        freq, phase, axis_gain = rng.uniform((BURST_FREQ_LOW_HZ, 0.0, 0.6),
+                                             (BURST_FREQ_HIGH_HZ, 2.0 * np.pi, 1.0),
+                                             size=(N_CHANNELS, 3)).T
+        channels[:, lo:hi] += (
+            (gains * axis_gain)[:, None] * hann
+            * np.sin(2.0 * np.pi * freq[:, None] * tb + phase[:, None])
+        )
 
 
 def split_dataset(m: Manifest, train_fraction: float = 0.75, seed: int = 42) -> Manifest:

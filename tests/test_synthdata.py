@@ -110,6 +110,54 @@ class TestGenerate:
         assert all(t.n_frames <= 250 for t in trials)
 
 
+def _reference_lift_events(channels, rng, class_idx, fs, duration, subj_gain, subj_offset):
+    """The burst generator as a per-channel loop over every frame: three
+    scalar draws and one full-length product per channel."""
+    amp = synthdata.BASE_AMPLITUDE * subj_gain
+    gains = synthdata._sensor_gains(class_idx)
+    t_first = duration * rng.uniform(0.12, 0.30) + subj_offset * 0.3
+    gap = duration * (0.33 + 0.03 * class_idx + rng.uniform(-0.03, 0.03))
+    centers = (t_first, t_first + gap)
+    half = synthdata.BURST_SECONDS / 2.0
+    t = np.arange(channels.shape[1]) / fs
+    for center in centers:
+        center = float(np.clip(center, half, duration - half))
+        window = np.clip((t - (center - half)) / synthdata.BURST_SECONDS, 0.0, 1.0)
+        hann = 0.5 - 0.5 * np.cos(2.0 * np.pi * window)
+        hann[(t < center - half) | (t > center + half)] = 0.0
+        for sensor in range(signals.N_SENSORS):
+            for axis in range(signals.N_AXES):
+                freq = rng.uniform(synthdata.BURST_FREQ_LOW_HZ, synthdata.BURST_FREQ_HIGH_HZ)
+                phase = rng.uniform(0.0, 2.0 * np.pi)
+                axis_gain = rng.uniform(0.6, 1.0)
+                channels[3 * sensor + axis] += (
+                    amp * gains[sensor] * axis_gain * hann * np.sin(2.0 * np.pi * freq * t + phase)
+                )
+
+
+class TestLiftEventsOracle:
+    """`generate_dataset` writes the same bytes as with the per-channel
+    reference loop: the bursts' draws, their order and each element's
+    arithmetic are unchanged."""
+
+    @pytest.mark.parametrize("profile", [
+        synthdata.desk_profile(1),
+        DatasetProfile(n_subjects=2, seed=42),
+        # trials shorter than a burst, down to a single frame
+        DatasetProfile(n_subjects=1, duration_low_s=0.5, duration_high_s=1.0, seed=3),
+        DatasetProfile(n_subjects=1, duration_low_s=0.02, duration_high_s=0.05, seed=3),
+    ], ids=["desk1", "default2", "under_burst", "one_frame"])
+    def test_bytes_equal_reference(self, profile, monkeypatch):
+        trials, manifest = generate_dataset(profile)
+        monkeypatch.setattr(synthdata, "_add_lift_events", _reference_lift_events)
+        ref_trials, ref_manifest = generate_dataset(profile)
+        assert manifest == ref_manifest
+        for a, b in zip(trials, ref_trials, strict=True):
+            assert a.channels.tobytes() == b.channels.tobytes()
+        if profile.duration_high_s < 0.1:
+            assert {t.n_frames for t in trials} == {1}
+
+
 class TestSplit:
     def test_540_180(self):
         _, manifest = generate_dataset(DatasetProfile(seed=42))
